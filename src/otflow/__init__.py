@@ -20,7 +20,6 @@ from .bundles import (
 from .errors import (
     BadMagicError,
     ConfigError,
-    ConjugateGradientError,
     EmptySeedsError,
     GridMismatchError,
     HeaderError,

@@ -14,7 +14,6 @@ without reaching its convergence tolerance (outputs still written).
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from pathlib import Path
@@ -47,13 +46,6 @@ from .streamlines import pathway_density, seed_points, trace_streamline
 from .synth import add_noise, true_density
 
 __all__ = ["main"]
-
-
-def _apply_thread_cap(threads: int | None) -> None:
-    if threads is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
 
 
 def _fail(message: str) -> int:
@@ -282,8 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dry-run", action="store_true",
                         help="validate inputs and print the plan without computing")
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS thread pools (results are independent of this)")
     common.add_argument("--verbose", action="store_true", help="chatty progress output")
 
     parser = argparse.ArgumentParser(
@@ -322,7 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _apply_thread_cap(args.threads)
     try:
         return args.func(args)
     except (OTFlowError, OSError, ValueError) as exc:

@@ -13,15 +13,6 @@ class OutsideDomainError(OTFlowError):
     """A point lies outside the closed grid domain."""
 
 
-class ConjugateGradientError(OTFlowError):
-    """CG failed to reach the requested residual within the iteration cap."""
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
-
 class EmptySeedsError(OTFlowError):
     """Seeding produced no points."""
 

@@ -7,7 +7,9 @@ Each interval advances the density by a conservative particle deposit
     (I - dt * A) rho_{n+1} = rho_star
 
 Both half-steps conserve total mass; the diffusion solve additionally clamps
-round-off negatives to zero so densities stay nonnegative.
+round-off negatives to zero so densities stay nonnegative. A is a Kronecker
+sum of 1D zero-flux stencils with a scalar diffusivity, so the orthonormal
+type-II DCT basis of each axis diagonalizes it and the solve is exact.
 """
 
 from __future__ import annotations
@@ -15,16 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import GridMismatchError
 from .grid import CellGrid, ScalarField, VectorField
-from .linalg import jacobi_cg
-from .operators import (
-    advection_interp_matrix,
-    advection_weight_gradients,
-    assemble_diffusion_operator,
-)
+from .operators import advection_interp_matrix, advection_weight_gradients
 
 __all__ = [
     "TimeGrid",
@@ -36,11 +32,6 @@ __all__ = [
     "forward",
     "advect_velocity_jacobian_apply",
 ]
-
-# Relative residual for the diffusion CG solves. Tighter than the 1e-10
-# contract so that mass drift and adjoint/finite-difference comparisons sit
-# well below their tolerances.
-DIFFUSION_CG_RTOL = 1e-12
 
 # Negative values below this magnitude after a diffusion solve are treated as
 # round-off and clamped to zero.
@@ -120,46 +111,50 @@ class VelocitySeries:
         return VelocitySeries(self.grid, self.time_grid, values)
 
 
-class ImplicitDiffusion:
-    """Reusable backward-Euler diffusion solve (I - dt*A) x = b via CG.
+def _dct_basis(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix: C[j, i] = sqrt(2/n) cos(pi j (2i+1) / 2n), row 0 / sqrt(2)."""
+    j = np.arange(n)[:, None]
+    i = np.arange(n)[None, :]
+    C = np.sqrt(2.0 / n) * np.cos(np.pi * j * (2 * i + 1) / (2 * n))
+    C[0] /= np.sqrt(2.0)
+    return C
 
-    With a zero operator the solve degenerates to the identity and is skipped.
+
+class ImplicitDiffusion:
+    """Reusable backward-Euler diffusion solve (I - dt*A) x = b, A the zero-flux
+    div(sigma^2 grad) of `operators.assemble_diffusion_operator`.
+
+    The per-axis DCT-II bases diagonalize A exactly: mode j of an axis with n
+    cells and spacing h has eigenvalue -sigma^2 * 4 sin^2(pi j / 2n) / h^2.
+    With sigma = 0 the solve degenerates to the identity and is skipped.
     """
 
-    def __init__(
-        self,
-        A: sparse.csr_matrix | None,
-        dt: float,
-        rtol: float = DIFFUSION_CG_RTOL,
-        max_iters: int | None = None,
-    ):
+    def __init__(self, grid: CellGrid, sigma: float, dt: float):
+        if sigma < 0:
+            raise ValueError(f"diffusivity must be nonnegative, got {sigma}")
         if dt <= 0:
             raise ValueError(f"time step must be positive, got {dt}")
-        self.dt = float(dt)
-        self.rtol = float(rtol)
-        self.is_identity = A is None or A.nnz == 0
+        self.dims = grid.dims
+        self.is_identity = sigma == 0.0
         if self.is_identity:
-            self.system = None
-            self.diag = None
-            self.max_iters = 0
-        else:
-            n = A.shape[0]
-            self.system = (sparse.identity(n, format="csr") - dt * A).tocsr()
-            self.system.sort_indices()
-            self.diag = self.system.diagonal()
-            self.max_iters = int(max_iters) if max_iters is not None else 10 * n
+            return
+        self.bases = [_dct_basis(n) for n in grid.dims]
+        modes = np.ix_(*(np.arange(n) for n in grid.dims))
+        eig = 1.0
+        for j, n, h in zip(modes, grid.dims, grid.spacing):
+            eig = eig + dt * sigma**2 * 4.0 * np.sin(np.pi * j / (2 * n)) ** 2 / h**2
+        self.eigenvalues = eig
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         if self.is_identity:
             return np.array(rhs, dtype=float, copy=True)
-        result = jacobi_cg(
-            lambda x: self.system @ x,
-            rhs,
-            rtol=self.rtol,
-            max_iters=self.max_iters,
-            diag=self.diag,
-        )
-        return result.x
+        x = np.asarray(rhs, dtype=float).reshape(self.dims, order="F")
+        for k, C in enumerate(self.bases):
+            x = np.moveaxis(np.tensordot(C, x, axes=(1, k)), 0, k)
+        x = x / self.eigenvalues
+        for k, C in enumerate(self.bases):
+            x = np.moveaxis(np.tensordot(C.T, x, axes=(1, k)), 0, k)
+        return x.ravel(order="F")
 
 
 def _require_density(values: np.ndarray, what: str):
@@ -176,10 +171,10 @@ def advect_step(rho: ScalarField, v: VectorField, dt: float) -> ScalarField:
     return ScalarField(rho.grid, S @ rho.values)
 
 
-def diffuse_step(rho_star: ScalarField, A: sparse.csr_matrix, dt: float) -> ScalarField:
+def diffuse_step(rho_star: ScalarField, sigma: float, dt: float) -> ScalarField:
     """One backward-Euler diffusion step, clamping round-off negatives to zero."""
     _require_density(rho_star.values, "density")
-    solver = ImplicitDiffusion(A, dt)
+    solver = ImplicitDiffusion(rho_star.grid, sigma, dt)
     out = solver.apply(rho_star.values)
     if not solver.is_identity:
         if out.min() < -NEGATIVE_CLAMP_TOL:
@@ -196,8 +191,7 @@ def forward(v: VelocitySeries, rho0: ScalarField, sigma: float) -> DensitySeries
     if rho0.grid != v.grid:
         raise GridMismatchError("initial density and velocity grids differ")
     _require_density(rho0.values, "initial density")
-    A = assemble_diffusion_operator(v.grid, sigma)
-    diffusion = ImplicitDiffusion(A, v.time_grid.dt)
+    diffusion = ImplicitDiffusion(v.grid, sigma, v.time_grid.dt)
     frames = forward_frames(v.grid, v.time_grid, v.values, rho0.values, diffusion)
     return DensitySeries(v.grid, v.time_grid, frames)
 

@@ -33,11 +33,7 @@ from .forward import (
     forward_frames,
 )
 from .grid import CellGrid, ScalarField, VectorField
-from .operators import (
-    advection_interp_matrix,
-    advection_weight_gradients,
-    assemble_diffusion_operator,
-)
+from .operators import advection_interp_matrix, advection_weight_gradients
 
 __all__ = [
     "ObservationEntry",
@@ -376,8 +372,7 @@ def objective(
 ) -> ObjectiveValue:
     """Evaluate the transport energy, the data misfit, and their sum at v."""
     _validate_problem(rho0, obs, config)
-    A = assemble_diffusion_operator(v.grid, config.sigma)
-    diffusion = ImplicitDiffusion(A, v.time_grid.dt)
+    diffusion = ImplicitDiffusion(v.grid, config.sigma, v.time_grid.dt)
     frames = forward_frames(v.grid, v.time_grid, v.values, rho0.values, diffusion)
     total, energy, misfit = _objective_terms(v.grid, v.time_grid, v.values, frames, obs)
     return ObjectiveValue(total, energy, misfit, DensitySeries(v.grid, v.time_grid, frames))
@@ -388,8 +383,7 @@ def gradient(
 ) -> VelocitySeries:
     """Adjoint gradient of the objective with respect to the velocity trajectory."""
     _validate_problem(rho0, obs, config)
-    A = assemble_diffusion_operator(v.grid, config.sigma)
-    diffusion = ImplicitDiffusion(A, v.time_grid.dt)
+    diffusion = ImplicitDiffusion(v.grid, config.sigma, v.time_grid.dt)
     lin = _linearize(v.grid, v.time_grid, v.values, rho0.values, diffusion)
     g = _gradient_values(v.grid, v.time_grid, v.values, lin, obs, diffusion)
     return VelocitySeries(v.grid, v.time_grid, g)
@@ -400,8 +394,7 @@ def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> Solve
     _validate_problem(rho0, obs, config)
     grid = rho0.grid
     time_grid = TimeGrid.unit_horizon(config.time_steps)
-    A = assemble_diffusion_operator(grid, config.sigma)
-    diffusion = ImplicitDiffusion(A, time_grid.dt)
+    diffusion = ImplicitDiffusion(grid, config.sigma, time_grid.dt)
 
     v = np.zeros((time_grid.steps, grid.ndim, grid.cell_count))
     lin = _linearize(grid, time_grid, v, rho0.values, diffusion)
