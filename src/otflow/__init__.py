@@ -37,7 +37,7 @@ from .forward import (
     advect_step,
     advect_velocity_jacobian_apply,
     diffuse_step,
-    forward,
+    simulate,
 )
 from .grid import CellGrid, ScalarField, VectorField, build_grid, sample_vector_field
 from .operators import (

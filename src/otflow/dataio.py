@@ -331,7 +331,6 @@ class RunConfig:
             backtrack_factor=self.backtrack_factor,
             max_backtracks=self.max_backtracks,
             stop_tolerance=self.stop_tolerance,
-            baseline_mode=self.baseline_mode,
         )
 
     def to_json(self) -> str:

@@ -6,15 +6,22 @@ Each interval advances the density by a conservative particle deposit
     rho_star = S(v_n) @ rho_n
     (I - dt * A) rho_{n+1} = rho_star
 
-Both half-steps conserve total mass; the diffusion solve additionally clamps
-round-off negatives to zero so densities stay nonnegative. A is a Kronecker
-sum of 1D zero-flux stencils with a scalar diffusivity, so the orthonormal
-type-II DCT basis of each axis diagonalizes it and the solve is exact.
+Both half-steps conserve total mass, and the step clamps round-off negatives
+to zero so densities stay nonnegative. A is a Kronecker sum of 1D zero-flux
+stencils with a scalar diffusivity, so the orthonormal type-II DCT basis of
+each axis diagonalizes it and the solve is exact.
+
+`SplitStep` defines one interval and its derivatives once. On it sit the one
+forward sweep (`forward_frames`), its linearisation (`linearized_sweep`) and
+the one adjoint sweep (`adjoint_sweep`) that the solver's objective, gradient
+and Gauss-Newton product share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -29,14 +36,9 @@ __all__ = [
     "ImplicitDiffusion",
     "advect_step",
     "diffuse_step",
-    "forward",
+    "simulate",
     "advect_velocity_jacobian_apply",
 ]
-
-# Negative values below this magnitude after a diffusion solve are treated as
-# round-off and clamped to zero.
-NEGATIVE_CLAMP_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -134,7 +136,8 @@ class ImplicitDiffusion:
             raise ValueError(f"diffusivity must be nonnegative, got {sigma}")
         if dt <= 0:
             raise ValueError(f"time step must be positive, got {dt}")
-        self.dims = grid.dims
+        self.grid = grid
+        self.dt = dt
         self.is_identity = sigma == 0.0
         if self.is_identity:
             return
@@ -148,7 +151,7 @@ class ImplicitDiffusion:
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         if self.is_identity:
             return np.array(rhs, dtype=float, copy=True)
-        x = np.asarray(rhs, dtype=float).reshape(self.dims, order="F")
+        x = np.asarray(rhs, dtype=float).reshape(self.grid.dims, order="F")
         for k, C in enumerate(self.bases):
             x = np.moveaxis(np.tensordot(C, x, axes=(1, k)), 0, k)
         x = x / self.eigenvalues
@@ -162,57 +165,133 @@ def _require_density(values: np.ndarray, what: str):
         raise ValueError(f"{what} must be nonnegative")
 
 
+class SplitStep:
+    """One interval of the split model: the deposit S(v_n), then the solve D.
+
+    `push` is the linear step x -> D(S x + inj), where inj is a velocity
+    perturbation `jvp(rho, dv)` entering before the solve. `advance` is push
+    followed by the clamp of round-off negatives to zero, the model's one
+    negative-density policy. D is symmetric, so y -> pull(D y) is the
+    transpose of push in x and y -> vjp(rho, D y) its transpose in dv.
+    S, S^T and the G_k are built on first use, so a step that only advances
+    (a rejected line-search trial) never builds the derivatives.
+    """
+
+    def __init__(self, v: VectorField, diffusion: ImplicitDiffusion):
+        self.v = v
+        self.diffusion = diffusion
+
+    @cached_property
+    def S(self):
+        return advection_interp_matrix(self.v.grid, self.v, self.diffusion.dt)
+
+    @cached_property
+    def S_T(self):
+        return self.S.T.tocsr()
+
+    @cached_property
+    def G(self):
+        return advection_weight_gradients(self.v.grid, self.v, self.diffusion.dt)
+
+    @cached_property
+    def G_T(self):
+        return [G.T.tocsr() for G in self.G]
+
+    def advance(self, rho: np.ndarray) -> np.ndarray:
+        out = self.push(rho)
+        if not self.diffusion.is_identity:
+            np.maximum(out, 0.0, out=out)
+        return out
+
+    def push(self, x: np.ndarray, inj: np.ndarray | None = None) -> np.ndarray:
+        rho_star = self.S @ x
+        return self.diffusion.apply(rho_star if inj is None else rho_star + inj)
+
+    def pull(self, mu: np.ndarray) -> np.ndarray:
+        return self.S_T @ mu
+
+    def jvp(self, rho: np.ndarray, dv: np.ndarray) -> np.ndarray:
+        """Directional derivative of S(v) @ rho in v: sum_k G_k (rho * dv_k)."""
+        out = np.zeros(rho.shape)
+        for G, dv_k in zip(self.G, dv):
+            out += G @ (rho * dv_k)
+        return out
+
+    def vjp(self, rho: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Transpose of `jvp` in dv, rho * G_k^T y per row, added into `out` if given."""
+        out = np.zeros((len(self.G_T), rho.size)) if out is None else out
+        for k, G_T in enumerate(self.G_T):
+            out[k] += rho * (G_T @ y)
+        return out
+
+
 def advect_step(rho: ScalarField, v: VectorField, dt: float) -> ScalarField:
     """One conservative particle-deposit advection step."""
     if rho.grid != v.grid:
         raise GridMismatchError("density and velocity grids differ")
     _require_density(rho.values, "density")
-    S = advection_interp_matrix(rho.grid, v, dt)
-    return ScalarField(rho.grid, S @ rho.values)
+    step = SplitStep(v, ImplicitDiffusion(v.grid, 0.0, dt))
+    return ScalarField(rho.grid, step.push(rho.values))
 
 
 def diffuse_step(rho_star: ScalarField, sigma: float, dt: float) -> ScalarField:
-    """One backward-Euler diffusion step, clamping round-off negatives to zero."""
+    """One backward-Euler diffusion step: a split step at zero velocity, whose
+    deposit is exactly the identity, so it clamps round-off negatives to zero."""
     _require_density(rho_star.values, "density")
-    solver = ImplicitDiffusion(rho_star.grid, sigma, dt)
-    out = solver.apply(rho_star.values)
-    if not solver.is_identity:
-        if out.min() < -NEGATIVE_CLAMP_TOL:
-            raise ValueError(
-                f"diffusion produced a negative density ({out.min():.3e}); "
-                "this indicates a broken operator, not round-off"
-            )
-        np.maximum(out, 0.0, out=out)
-    return ScalarField(rho_star.grid, out)
+    step = SplitStep(VectorField.zeros(rho_star.grid), ImplicitDiffusion(rho_star.grid, sigma, dt))
+    return ScalarField(rho_star.grid, step.advance(rho_star.values))
 
 
-def forward(v: VelocitySeries, rho0: ScalarField, sigma: float) -> DensitySeries:
+def simulate(v: VelocitySeries, rho0: ScalarField, sigma: float) -> DensitySeries:
     """Advance rho0 through all intervals of the velocity series."""
     if rho0.grid != v.grid:
         raise GridMismatchError("initial density and velocity grids differ")
     _require_density(rho0.values, "initial density")
     diffusion = ImplicitDiffusion(v.grid, sigma, v.time_grid.dt)
-    frames = forward_frames(v.grid, v.time_grid, v.values, rho0.values, diffusion)
+    frames, _ = forward_frames(v.values, rho0.values, diffusion)
     return DensitySeries(v.grid, v.time_grid, frames)
 
 
 def forward_frames(
-    grid: CellGrid,
-    time_grid: TimeGrid,
-    v_values: np.ndarray,
-    rho0_values: np.ndarray,
-    diffusion: ImplicitDiffusion,
-) -> np.ndarray:
-    """Raw-array forward sweep shared by the public model and the optimizer."""
-    frames = np.empty((time_grid.steps + 1, grid.cell_count))
+    v_values: np.ndarray, rho0_values: np.ndarray, diffusion: ImplicitDiffusion
+) -> tuple[np.ndarray, list[SplitStep]]:
+    """The one forward sweep: frames 0..m, shape (m+1, s), and the m steps."""
+    steps = [SplitStep(VectorField(diffusion.grid, v_n), diffusion) for v_n in v_values]
+    frames = np.empty((len(steps) + 1, diffusion.grid.cell_count))
     frames[0] = rho0_values
-    for n in range(time_grid.steps):
-        S = advection_interp_matrix(grid, VectorField(grid, v_values[n]), time_grid.dt)
-        nxt = diffusion.apply(S @ frames[n])
-        if not diffusion.is_identity:
-            np.maximum(nxt, 0.0, out=nxt)
-        frames[n + 1] = nxt
-    return frames
+    for n, step in enumerate(steps):
+        frames[n + 1] = step.advance(frames[n])
+    return frames, steps
+
+
+def linearized_sweep(steps: list[SplitStep], frames: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Derivative of the forward sweep's frames in direction dv (rho_0 fixed)."""
+    drho = np.zeros(frames.shape)
+    for n, step in enumerate(steps):
+        drho[n + 1] = step.push(drho[n], step.jvp(frames[n], dv[n]))
+    return drho
+
+
+def adjoint_sweep(
+    steps: list[SplitStep], frames: np.ndarray, sources: Sequence[dict], out: np.ndarray
+) -> np.ndarray:
+    """The one adjoint sweep: the transpose of `linearized_sweep`.
+
+    The adjoint at frame n is the one pulled back from frame n+1 plus the
+    source term `source[n]` of each frame -> array mapping that has one,
+    added in order. Adds the velocity sensitivities to `out`, shape
+    (m, d, s), and returns it.
+    """
+    lam = None  # adjoint at frame n+1, as pulled back from frame n+2
+    for n in range(len(steps) - 1, -1, -1):
+        for source in sources:
+            if n + 1 in source:
+                lam = source[n + 1] if lam is None else lam + source[n + 1]
+        mu = steps[n].diffusion.apply(np.zeros(frames.shape[1]) if lam is None else lam)
+        steps[n].vjp(frames[n], mu, out=out[n])
+        if n > 0:
+            lam = steps[n].pull(mu)
+    return out
 
 
 def advect_velocity_jacobian_apply(
@@ -225,8 +304,5 @@ def advect_velocity_jacobian_apply(
     """
     if rho.grid != v.grid or dv.grid != v.grid:
         raise GridMismatchError("fields live on different grids")
-    grads = advection_weight_gradients(rho.grid, v, dt)
-    out = np.zeros(rho.grid.cell_count)
-    for k, G in enumerate(grads):
-        out += G @ (rho.values * dv.components[k])
-    return ScalarField(rho.grid, out)
+    step = SplitStep(v, ImplicitDiffusion(v.grid, 0.0, dt))
+    return ScalarField(rho.grid, step.jvp(rho.values, dv.components))

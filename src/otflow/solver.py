@@ -5,11 +5,13 @@ Minimizes, over the velocity trajectory, the transport energy
     0.5 * cell_volume * dt * sum_n <rho_n, |v_n|^2>
 
 plus an alpha-weighted data misfit sum_{observed n>0} <w_n, (rho_n - obs_n)^2>,
-where the trajectory rho is produced by the operator-split forward model with
-rho_0 pinned to the initial observation. The gradient comes from a backward
-adjoint sweep; steps are Gauss-Newton directions (misfit curvature plus the
-diagonal energy curvature in v) solved matrix-free by inner CG, safeguarded by
-Armijo backtracking, so the objective is non-increasing across iterations.
+where the trajectory rho is the forward sweep of the split steps of
+`otflow.forward`, with rho_0 pinned to the initial observation. The gradient
+and the Gauss-Newton product (misfit curvature plus the diagonal energy
+curvature in v) run the one adjoint sweep with their own per-frame sources.
+GN directions come from matrix-free inner CG, safeguarded by Armijo
+backtracking, so the objective is non-increasing across iterations; the
+accepted trial's frames and steps are the next linearization point.
 
 A restricted mode reproduces the classical fixed-endpoint transport baseline:
 densities normalized to unit total mass, no diffusion, and the endpoint
@@ -28,12 +30,14 @@ from .errors import GridMismatchError
 from .forward import (
     DensitySeries,
     ImplicitDiffusion,
+    SplitStep,
     TimeGrid,
     VelocitySeries,
+    adjoint_sweep,
     forward_frames,
+    linearized_sweep,
 )
-from .grid import CellGrid, ScalarField, VectorField
-from .operators import advection_interp_matrix, advection_weight_gradients
+from .grid import CellGrid, ScalarField
 
 __all__ = [
     "ObservationEntry",
@@ -136,7 +140,6 @@ class SolverConfig:
     backtrack_factor: float = 0.5
     max_backtracks: int = 25
     stop_tolerance: float = 1e-6
-    baseline_mode: bool = False
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -195,52 +198,16 @@ class ObjectiveValue(NamedTuple):
     densities: DensitySeries
 
 
-@dataclass(eq=False)
-class _Linearization:
-    """Forward trajectory plus the per-step deposit matrices and their v-derivatives."""
-
-    frames: np.ndarray          # (m+1, s)
-    S: list                     # deposit matrix per step
-    S_T: list                   # transposes, CSR
-    G: list                     # per step: list of d weight-gradient matrices
-    G_T: list                   # transposes, CSR
-
-
-def _linearize(
-    grid: CellGrid,
-    time_grid: TimeGrid,
-    v_values: np.ndarray,
-    rho0_values: np.ndarray,
-    diffusion: ImplicitDiffusion,
-) -> _Linearization:
-    m = time_grid.steps
-    frames = np.empty((m + 1, grid.cell_count))
-    frames[0] = rho0_values
-    S_list, ST_list, G_list, GT_list = [], [], [], []
-    for n in range(m):
-        vf = VectorField(grid, v_values[n])
-        S = advection_interp_matrix(grid, vf, time_grid.dt)
-        G = advection_weight_gradients(grid, vf, time_grid.dt)
-        nxt = diffusion.apply(S @ frames[n])
-        if not diffusion.is_identity:
-            np.maximum(nxt, 0.0, out=nxt)
-        frames[n + 1] = nxt
-        S_list.append(S)
-        ST_list.append(S.T.tocsr())
-        G_list.append(G)
-        GT_list.append([g.T.tocsr() for g in G])
-    return _Linearization(frames, S_list, ST_list, G_list, GT_list)
+def _energy_weight(steps: list[SplitStep]) -> float:
+    """cell_volume * dt, the quadrature weight of the transport energy."""
+    return steps[0].v.grid.cell_volume * steps[0].diffusion.dt
 
 
 def _objective_terms(
-    grid: CellGrid,
-    time_grid: TimeGrid,
-    v_values: np.ndarray,
-    frames: np.ndarray,
-    obs: ObservationSet,
+    v_values: np.ndarray, frames: np.ndarray, steps: list[SplitStep], obs: ObservationSet
 ) -> tuple[float, float, float]:
     speed_sq = (v_values**2).sum(axis=1)  # (m, s)
-    energy = 0.5 * grid.cell_volume * time_grid.dt * float((frames[:-1] * speed_sq).sum())
+    energy = 0.5 * _energy_weight(steps) * float((frames[:-1] * speed_sq).sum())
     residual = 0.0
     for idx, entry in obs.interior().items():
         r = frames[idx] - entry.observed.values
@@ -250,77 +217,32 @@ def _objective_terms(
 
 
 def _gradient_values(
-    grid: CellGrid,
-    time_grid: TimeGrid,
-    v_values: np.ndarray,
-    lin: _Linearization,
-    obs: ObservationSet,
-    diffusion: ImplicitDiffusion,
+    v_values: np.ndarray, frames: np.ndarray, steps: list[SplitStep], obs: ObservationSet
 ) -> np.ndarray:
-    """Adjoint sweep through the split steps.
-
-    The adjoint state accumulates the misfit residuals and the density
-    sensitivity of the energy term; the diffusion solve is its own transpose
-    and the deposit matrices enter through their transposes.
-    """
-    m, d, _ = v_values.shape
-    coef = grid.cell_volume * time_grid.dt
-    interior = obs.interior()
-    g = np.empty_like(v_values)
-    lam = np.zeros(grid.cell_count)
-    if m in interior:
-        e = interior[m]
-        lam = 2.0 * obs.alpha * e.weight * (lin.frames[m] - e.observed.values)
-    for n in range(m - 1, -1, -1):
-        mu = diffusion.apply(lam)
-        rho_n = lin.frames[n]
-        for k in range(d):
-            g[n, k] = coef * rho_n * v_values[n, k] + rho_n * (lin.G_T[n][k] @ mu)
-        if n > 0:
-            lam = lin.S_T[n] @ mu + 0.5 * coef * (v_values[n] ** 2).sum(axis=0)
-            if n in interior:
-                e = interior[n]
-                lam = lam + 2.0 * obs.alpha * e.weight * (lin.frames[n] - e.observed.values)
-    return g
+    """Adjoint gradient. The sweep's sources are the energy's density
+    sensitivity at frames 1..m-1 and the weighted misfit residuals."""
+    coef = _energy_weight(steps)
+    energy = {n: 0.5 * coef * (v_values[n] ** 2).sum(axis=0) for n in range(1, len(steps))}
+    misfit = {
+        n: 2.0 * obs.alpha * e.weight * (frames[n] - e.observed.values)
+        for n, e in obs.interior().items()
+    }
+    g = coef * frames[:-1][:, None, :] * v_values
+    return adjoint_sweep(steps, frames, (energy, misfit), out=g)
 
 
 def _gn_hessian_apply(
-    grid: CellGrid,
-    time_grid: TimeGrid,
-    dv: np.ndarray,
-    lin: _Linearization,
-    obs: ObservationSet,
-    diffusion: ImplicitDiffusion,
+    dv: np.ndarray, frames: np.ndarray, steps: list[SplitStep], obs: ObservationSet
 ) -> np.ndarray:
     """Gauss-Newton curvature product: misfit J^T W J plus the diagonal energy block.
 
     Cross terms through the density's dependence on v inside the energy are
     dropped, which keeps the operator symmetric positive semidefinite.
     """
-    m, d, s = dv.shape
-    coef = grid.cell_volume * time_grid.dt
-    interior = obs.interior()
-    # linearized forward sweep
-    drho = np.zeros((m + 1, s))
-    for n in range(m):
-        inj = np.zeros(s)
-        for k in range(d):
-            inj += lin.G[n][k] @ (lin.frames[n] * dv[n, k])
-        drho[n + 1] = diffusion.apply(lin.S[n] @ drho[n] + inj)
-    out = coef * lin.frames[:-1][:, None, :] * dv
-    # weighted-residual adjoint sweep
-    lam = np.zeros(s)
-    if m in interior:
-        lam = 2.0 * obs.alpha * interior[m].weight * drho[m]
-    for n in range(m - 1, -1, -1):
-        mu = diffusion.apply(lam)
-        for k in range(d):
-            out[n, k] += lin.frames[n] * (lin.G_T[n][k] @ mu)
-        if n > 0:
-            lam = lin.S_T[n] @ mu
-            if n in interior:
-                lam = lam + 2.0 * obs.alpha * interior[n].weight * drho[n]
-    return out
+    drho = linearized_sweep(steps, frames, dv)
+    misfit = {n: 2.0 * obs.alpha * e.weight * drho[n] for n, e in obs.interior().items()}
+    out = _energy_weight(steps) * frames[:-1][:, None, :] * dv
+    return adjoint_sweep(steps, frames, (misfit,), out=out)
 
 
 def _gn_step(
@@ -367,14 +289,18 @@ def _validate_problem(rho0: ScalarField, obs: ObservationSet, config: SolverConf
         )
 
 
+def _sweep(v: VelocitySeries, rho0: ScalarField, obs: ObservationSet, config: SolverConfig):
+    _validate_problem(rho0, obs, config)
+    diffusion = ImplicitDiffusion(v.grid, config.sigma, v.time_grid.dt)
+    return forward_frames(v.values, rho0.values, diffusion)
+
+
 def objective(
     v: VelocitySeries, rho0: ScalarField, obs: ObservationSet, config: SolverConfig
 ) -> ObjectiveValue:
     """Evaluate the transport energy, the data misfit, and their sum at v."""
-    _validate_problem(rho0, obs, config)
-    diffusion = ImplicitDiffusion(v.grid, config.sigma, v.time_grid.dt)
-    frames = forward_frames(v.grid, v.time_grid, v.values, rho0.values, diffusion)
-    total, energy, misfit = _objective_terms(v.grid, v.time_grid, v.values, frames, obs)
+    frames, steps = _sweep(v, rho0, obs, config)
+    total, energy, misfit = _objective_terms(v.values, frames, steps, obs)
     return ObjectiveValue(total, energy, misfit, DensitySeries(v.grid, v.time_grid, frames))
 
 
@@ -382,11 +308,8 @@ def gradient(
     v: VelocitySeries, rho0: ScalarField, obs: ObservationSet, config: SolverConfig
 ) -> VelocitySeries:
     """Adjoint gradient of the objective with respect to the velocity trajectory."""
-    _validate_problem(rho0, obs, config)
-    diffusion = ImplicitDiffusion(v.grid, config.sigma, v.time_grid.dt)
-    lin = _linearize(v.grid, v.time_grid, v.values, rho0.values, diffusion)
-    g = _gradient_values(v.grid, v.time_grid, v.values, lin, obs, diffusion)
-    return VelocitySeries(v.grid, v.time_grid, g)
+    frames, steps = _sweep(v, rho0, obs, config)
+    return VelocitySeries(v.grid, v.time_grid, _gradient_values(v.values, frames, steps, obs))
 
 
 def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> SolveResult:
@@ -397,9 +320,9 @@ def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> Solve
     diffusion = ImplicitDiffusion(grid, config.sigma, time_grid.dt)
 
     v = np.zeros((time_grid.steps, grid.ndim, grid.cell_count))
-    lin = _linearize(grid, time_grid, v, rho0.values, diffusion)
-    phi, energy, misfit = _objective_terms(grid, time_grid, v, lin.frames, obs)
-    g = _gradient_values(grid, time_grid, v, lin, obs, diffusion)
+    frames, steps = forward_frames(v, rho0.values, diffusion)
+    phi, energy, misfit = _objective_terms(v, frames, steps, obs)
+    g = _gradient_values(v, frames, steps, obs)
     gnorm = float(np.linalg.norm(g))
     gnorm0 = gnorm
     records = [IterationRecord(0, phi, energy, misfit, gnorm, 0.0)]
@@ -408,25 +331,24 @@ def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> Solve
     termination = "gradient" if converged else "max_iters"
     if not converged:
         for it in range(1, config.max_gn_iters + 1):
-            step = _gn_step(
-                lambda dv: _gn_hessian_apply(grid, time_grid, dv, lin, obs, diffusion),
+            direction = _gn_step(
+                lambda dv: _gn_hessian_apply(dv, frames, steps, obs),
                 g,
                 config.gn_cg_tolerance,
                 config.gn_cg_max_iters,
             )
-            slope = float((g * step).sum())
+            slope = float((g * direction).sum())
             if slope >= 0.0:
-                step = -g
+                direction = -g
                 slope = -gnorm * gnorm
-            # Armijo backtracking on the true objective
+            # Armijo backtracking on the true objective; the accepted trial's
+            # frames and steps become the next linearization point
             t = 1.0
             accepted = False
             for _ in range(config.max_backtracks + 1):
-                trial_v = v + t * step
-                trial_frames = forward_frames(grid, time_grid, trial_v, rho0.values, diffusion)
-                trial_phi, trial_e, trial_m = _objective_terms(
-                    grid, time_grid, trial_v, trial_frames, obs
-                )
+                trial_v = v + t * direction
+                trial = forward_frames(trial_v, rho0.values, diffusion)
+                trial_phi, trial_e, trial_m = _objective_terms(trial_v, *trial, obs)
                 if np.isfinite(trial_phi) and trial_phi <= phi + config.armijo_c * t * slope:
                     accepted = True
                     break
@@ -435,9 +357,9 @@ def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> Solve
                 termination = "line_search"
                 break
             v = trial_v
-            lin = _linearize(grid, time_grid, v, rho0.values, diffusion)
+            frames, steps = trial
             phi, energy, misfit = trial_phi, trial_e, trial_m
-            g = _gradient_values(grid, time_grid, v, lin, obs, diffusion)
+            g = _gradient_values(v, frames, steps, obs)
             gnorm = float(np.linalg.norm(g))
             records.append(IterationRecord(it, phi, energy, misfit, gnorm, t))
             if gnorm <= config.stop_tolerance * gnorm0:
@@ -447,7 +369,7 @@ def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> Solve
 
     return SolveResult(
         velocity=VelocitySeries(grid, time_grid, v),
-        densities=DensitySeries(grid, time_grid, lin.frames),
+        densities=DensitySeries(grid, time_grid, frames),
         diagnostics=records,
         converged=converged,
         termination=termination,
@@ -471,7 +393,7 @@ def solve_baseline(
         raise ValueError("baseline endpoints must carry positive total mass")
     start = ScalarField(rho0.grid, rho0.values / mass0)
     target = ScalarField(rho0.grid, rhoT_obs.values / massT)
-    baseline_config = dataclasses.replace(config, sigma=0.0, baseline_mode=True)
+    baseline_config = dataclasses.replace(config, sigma=0.0)
     obs = ObservationSet(
         entries=[
             ObservationEntry(0, start),

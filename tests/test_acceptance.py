@@ -28,13 +28,13 @@ from otflow import (
     build_grid,
     diffuse_step,
     finite_difference_gradient,
-    forward,
     gradient,
     initial_density,
     objective,
     quickbundles,
     registration_errors,
     rmse_between_series,
+    simulate,
     solve,
     solve_baseline,
     trace_streamline,
@@ -136,7 +136,7 @@ def test_c02_forward_gaussian_oracle():
             sigma_true=0.01,
         )
         tg = TimeGrid.unit_horizon(steps)
-        got = forward(true_velocity_series(spec, tg), initial_density(spec), 0.01)
+        got = simulate(true_velocity_series(spec, tg), initial_density(spec), 0.01)
         want = analytic_evolution(spec, 1.0)
         return float(
             np.linalg.norm(got.values[-1] - want.values) / np.linalg.norm(want.values)

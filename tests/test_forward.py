@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,20 @@ from otflow import (
     assemble_diffusion_operator,
     build_grid,
     diffuse_step,
-    forward,
     initial_density,
+    simulate,
     true_velocity_series,
 )
 
-from conftest import philox, smooth_velocity
+from otflow.forward import SplitStep, forward_frames, linearized_sweep
+
+from conftest import gradient_check_instance, philox, smooth_velocity
+
+
+def test_forward_submodule_imports_as_module():
+    import otflow.forward as m
+
+    assert isinstance(m, types.ModuleType)
 
 
 class TestTimeGrid:
@@ -120,7 +130,7 @@ class TestForward:
         g = build_grid([6, 6], [1 / 6, 1 / 6])
         tg = TimeGrid.unit_horizon(3)
         rho0 = ScalarField(g, philox(3).uniform(0, 1, g.cell_count))
-        out = forward(VelocitySeries.zeros(g, tg), rho0, 0.0)
+        out = simulate(VelocitySeries.zeros(g, tg), rho0, 0.0)
         for n in range(4):
             np.testing.assert_allclose(out.values[n], rho0.values)
 
@@ -132,7 +142,7 @@ class TestForward:
             sigma_true=0.01,
         )
         tg = TimeGrid.unit_horizon(6)
-        got = forward(true_velocity_series(spec, tg), initial_density(spec), 0.01)
+        got = simulate(true_velocity_series(spec, tg), initial_density(spec), 0.01)
         want = analytic_evolution(spec, 1.0)
         rel = np.linalg.norm(got.values[-1] - want.values) / np.linalg.norm(want.values)
         assert rel < 0.05
@@ -145,7 +155,7 @@ class TestForward:
             v = VelocitySeries(
                 g, tg, np.stack([smooth_velocity(g, seed + 10 * n, 0.1) for n in range(4)])
             )
-            out = forward(v, rho0, 0.05)
+            out = simulate(v, rho0, 0.05)
             drift = np.abs(out.masses() - rho0.total_mass()).max()
             assert drift <= 1e-9 * rho0.total_mass()
             assert out.values.min() >= 0.0
@@ -155,6 +165,41 @@ class TestForward:
         tg = TimeGrid.unit_horizon(3)
         rho0 = ScalarField(g, philox(5).uniform(0, 1, g.cell_count))
         v = VelocitySeries(g, tg, np.stack([smooth_velocity(g, n, 0.1) for n in range(3)]))
-        a = forward(v, rho0, 0.02)
-        b = forward(v, rho0, 0.02)
+        a = simulate(v, rho0, 0.02)
+        b = simulate(v, rho0, 0.02)
         assert np.array_equal(a.values, b.values)
+
+
+class TestSplitStep:
+    @pytest.mark.parametrize(
+        "dims, spacing",
+        [((9, 7), (0.1, 0.15)), ((5, 4, 6), (0.2, 0.25, 0.15))],
+        ids=["2d", "3d"],
+    )
+    def test_dot_product_identities(self, dims, spacing):
+        g = build_grid(list(dims), list(spacing))
+        rng = philox(21)
+        dt = 0.25
+        v = VectorField(g, smooth_velocity(g, 3, scale=0.3))
+        step = SplitStep(v, ImplicitDiffusion(g, 0.2, dt))
+        D = step.diffusion.apply
+        rho = rng.uniform(0.5, 1.5, g.cell_count)
+        x, y = rng.standard_normal((2, g.cell_count))
+        dv = rng.standard_normal((g.ndim, g.cell_count))
+        # the solve D is symmetric: y -> pull(D y) is the transpose of push
+        assert x @ step.pull(D(y)) == pytest.approx(step.push(x) @ y, rel=1e-12)
+        assert (dv * step.vjp(rho, y)).sum() == pytest.approx(step.jvp(rho, dv) @ y, rel=1e-12)
+
+    @pytest.mark.parametrize("seed,sigma", [(0, 0.0), (1, 0.01)])
+    def test_linearized_sweep_matches_central_difference(self, seed, sigma):
+        # velocities and directions from the gradient check: clear of deposit kinks
+        rho0, _, _, v, dv = gradient_check_instance(seed, sigma)
+        diffusion = ImplicitDiffusion(v.grid, sigma, v.time_grid.dt)
+        frames, steps = forward_frames(v.values, rho0.values, diffusion)
+        got = linearized_sweep(steps, frames, dv.values)
+        eps = 1e-6
+        plus, _ = forward_frames(v.values + eps * dv.values, rho0.values, diffusion)
+        minus, _ = forward_frames(v.values - eps * dv.values, rho0.values, diffusion)
+        fd = (plus - minus) / (2 * eps)
+        assert np.array_equal(got[0], np.zeros(v.grid.cell_count))
+        np.testing.assert_allclose(got, fd, rtol=0, atol=1e-7 * np.abs(fd).max())

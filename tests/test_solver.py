@@ -20,7 +20,8 @@ from otflow import (
     solve,
     solve_baseline,
 )
-from otflow.forward import DensitySeries
+from otflow.forward import DensitySeries, ImplicitDiffusion, forward_frames
+from otflow.solver import _gn_hessian_apply
 
 from conftest import gradient_check_instance, philox, translating_pair
 
@@ -136,6 +137,20 @@ class TestGradient:
         np.testing.assert_allclose(
             grad_at(10.0), g1 + 9.0 * misfit_part, rtol=1e-9, atol=1e-18
         )
+
+
+class TestGaussNewtonProduct:
+    @pytest.mark.parametrize("seed,sigma", [(3, 0.0), (4, 0.01)])
+    def test_symmetric_positive_semidefinite(self, seed, sigma):
+        rho0, obs, _, v, _ = gradient_check_instance(seed, sigma)
+        diffusion = ImplicitDiffusion(v.grid, sigma, v.time_grid.dt)
+        frames, steps = forward_frames(v.values, rho0.values, diffusion)
+        rng = philox(40 + seed)
+        x, y = rng.standard_normal((2,) + v.values.shape)
+        hx = _gn_hessian_apply(x, frames, steps, obs)
+        hy = _gn_hessian_apply(y, frames, steps, obs)
+        assert (x * hy).sum() == pytest.approx((hx * y).sum(), rel=1e-12)
+        assert (hx * x).sum() >= 0.0
 
 
 class TestSolve:
