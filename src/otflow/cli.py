@@ -83,17 +83,16 @@ def cmd_solve(args) -> int:
         return 0
     grid, fields = _load_observations(cfg)
     rho0 = fields[0][0]
-    solver_config = cfg.solver_config()
     if cfg.baseline_mode:
         final_index = max(fields)
-        result = solve_baseline(rho0, fields[final_index][0], solver_config)
+        result = solve_baseline(rho0, fields[final_index][0], cfg)
     else:
         entries = [
             ObservationEntry(idx, field, weight)
             for idx, (field, weight) in sorted(fields.items())
         ]
         obs = ObservationSet(entries, alpha=cfg.alpha)
-        result = solve(rho0, obs, solver_config)
+        result = solve(rho0, obs, cfg)
 
     out.mkdir(parents=True, exist_ok=True)
     for n in range(cfg.time_steps + 1):
@@ -254,7 +253,7 @@ def cmd_compare(args) -> int:
         _, fields = _load_observations(cfg)
         rho0 = fields[0][0]
         target_obs = fields[max(fields)][0]
-        baseline = solve_baseline(rho0, target_obs, cfg.solver_config())
+        baseline = solve_baseline(rho0, target_obs, cfg)
         final = baseline.densities.frame(baseline.densities.time_grid.steps)
         b_mse, b_inf = registration_errors(final, final_b)
         rows.append(("baseline", "mse", "", b_mse))

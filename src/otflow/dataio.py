@@ -14,7 +14,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -295,22 +295,12 @@ class ObservationRef:
     weight: float = 1.0
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated pipeline configuration (solver knobs plus FPA parameters)."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(SolverConfig):
+    """Validated pipeline configuration: the solver knobs plus the run and FPA keys."""
 
     output_dir: str
     observations: tuple[ObservationRef, ...]
-    sigma: float = 0.0
-    alpha: float = 1.0
-    time_steps: int = 4
-    max_gn_iters: int = 50
-    gn_cg_tolerance: float = 1e-2
-    gn_cg_max_iters: int = 50
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 25
-    stop_tolerance: float = 1e-6
     baseline_mode: bool = False
     seed_quantile: float = 0.9
     streamline_step: float | None = None  # default: min spacing / 2, set at run time
@@ -319,19 +309,20 @@ class RunConfig:
     qb_threshold: float | None = None  # default: 4 * min spacing, set at run time
     min_cluster_size: int = 5
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            sigma=self.sigma,
-            alpha=self.alpha,
-            time_steps=self.time_steps,
-            max_gn_iters=self.max_gn_iters,
-            gn_cg_tolerance=self.gn_cg_tolerance,
-            gn_cg_max_iters=self.gn_cg_max_iters,
-            armijo_c=self.armijo_c,
-            backtrack_factor=self.backtrack_factor,
-            max_backtracks=self.max_backtracks,
-            stop_tolerance=self.stop_tolerance,
+    def _ranges(self) -> tuple[tuple[str, bool, str], ...]:
+        return super()._ranges() + (
+            ("seed_quantile", 0 < self.seed_quantile < 1, "in (0, 1)"),
+            ("streamline_step", self.streamline_step is None or self.streamline_step > 0,
+             "positive or null"),
+            ("max_streamline_steps", self.max_streamline_steps >= 1, "at least 1"),
+            ("qb_points", self.qb_points >= 2, "at least 2"),
+            ("qb_threshold", self.qb_threshold is None or self.qb_threshold > 0,
+             "positive or null"),
+            ("min_cluster_size", self.min_cluster_size >= 1, "at least 1"),
         )
+
+    def _out_of_range(self, key: str, requirement: str):
+        raise ConfigError(f"key {key!r} must be {requirement}, got {getattr(self, key)!r}", key)
 
     def to_json(self) -> str:
         doc = {
@@ -346,25 +337,20 @@ class RunConfig:
         return _json_dump(doc)
 
 
-# key -> (expected types, default); required keys carry no default
+def _accepted_types(default) -> tuple[type, ...]:
+    """JSON types a key accepts, read off its default."""
+    if isinstance(default, (bool, int)):
+        return (type(default),)
+    if isinstance(default, float):
+        return (int, float)
+    return (int, float, type(None))
+
+
+# key -> (accepted types, default) for every optional scalar key
 _SCALAR_KEYS = {
-    "sigma": ((int, float), 0.0),
-    "alpha": ((int, float), 1.0),
-    "time_steps": (int, 4),
-    "max_gn_iters": (int, 50),
-    "gn_cg_tolerance": ((int, float), 1e-2),
-    "gn_cg_max_iters": (int, 50),
-    "armijo_c": ((int, float), 1e-4),
-    "backtrack_factor": ((int, float), 0.5),
-    "max_backtracks": (int, 25),
-    "stop_tolerance": ((int, float), 1e-6),
-    "baseline_mode": (bool, False),
-    "seed_quantile": ((int, float), 0.9),
-    "streamline_step": ((int, float, type(None)), None),
-    "max_streamline_steps": (int, 10000),
-    "qb_points": (int, 12),
-    "qb_threshold": ((int, float, type(None)), None),
-    "min_cluster_size": (int, 5),
+    f.name: (_accepted_types(f.default), f.default)
+    for f in fields(RunConfig)
+    if f.default is not MISSING
 }
 
 
@@ -452,7 +438,6 @@ def read_config(path) -> RunConfig:
             f"observation time_index {max(indices)} exceeds time_steps={cfg.time_steps}",
             "observations",
         )
-    cfg.solver_config()  # validates the solver knobs, raising ValueError on bad values
     return cfg
 
 

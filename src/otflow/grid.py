@@ -177,27 +177,21 @@ class VectorField:
         return np.sqrt((self.components**2).sum(axis=0))
 
 
-def _stencil(grid: CellGrid, positions: np.ndarray):
-    """Multilinear cell-center stencil for points inside the closed domain.
+def _stencil(grid: CellGrid, coords: np.ndarray):
+    """Multilinear cell-center stencil at index coordinates inside the closed domain.
 
-    Returns (base, frac, live), each of shape (ndim, npoints). base[k] is the
-    lower neighbor index along axis k, frac[k] the weight toward base+1
-    (clipped to [0, 1]), and live[k] is 1.0 where frac responds linearly to
-    motion and 0.0 where it is saturated against a wall.
+    coords has shape (ndim, npoints); along axis k, cell centers sit at the
+    integers and the walls at -0.5 and n_k - 0.5. Returns (base, frac, live),
+    each of the same shape. base[k] is the lower neighbor index along axis k,
+    frac[k] the weight toward base+1 (clipped to [0, 1]), and live[k] is 1.0
+    where frac responds linearly to motion and 0.0 where it is saturated
+    against a wall.
     """
-    d = grid.ndim
-    npts = positions.shape[0]
-    base = np.empty((d, npts), dtype=np.int64)
-    frac = np.empty((d, npts))
-    live = np.empty((d, npts))
-    for k in range(d):
-        n = grid.dims[k]
-        g = positions[:, k] / grid.spacing[k] - 0.5
-        lo = np.clip(np.floor(g), 0, max(n - 2, 0)).astype(np.int64)
-        raw = g - lo
-        base[k] = lo
-        frac[k] = np.clip(raw, 0.0, 1.0)
-        live[k] = ((raw >= 0.0) & (raw <= 1.0)).astype(float)
+    top = np.maximum(np.asarray(grid.dims) - 2, 0)[:, None]
+    base = np.clip(np.floor(coords), 0, top).astype(np.int64)
+    raw = coords - base
+    frac = np.clip(raw, 0.0, 1.0)
+    live = ((raw >= 0.0) & (raw <= 1.0)).astype(float)
     return base, frac, live
 
 
@@ -223,7 +217,7 @@ def interpolate_components(grid: CellGrid, components: np.ndarray, positions: np
     components has shape (ncomp, cell_count); positions (npoints, ndim) and must
     lie inside the closed domain (clamp first if unsure). Returns (npoints, ncomp).
     """
-    base, frac, _ = _stencil(grid, positions)
+    base, frac, _ = _stencil(grid, positions.T / np.asarray(grid.spacing)[:, None] - 0.5)
     out = np.zeros((positions.shape[0], components.shape[0]))
     for offsets in product((0, 1), repeat=grid.ndim):
         flat = _corner_flat(grid, base, offsets)

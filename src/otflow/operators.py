@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sparse
 
-from .grid import CellGrid, VectorField, _corner_flat, _corner_weight
+from .grid import CellGrid, VectorField, _corner_flat, _corner_weight, _stencil
 
 __all__ = [
     "assemble_diffusion_operator",
@@ -65,29 +65,20 @@ def assemble_diffusion_operator(grid: CellGrid, sigma: float) -> sparse.csr_matr
 
 
 def _deposit_stencil(grid: CellGrid, v: VectorField, dt: float):
-    """Deposit stencil of the pushed particles, computed in index coordinates.
+    """Stencil of the particles pushed from the cell centers, clamped to the walls.
 
     Working with cell_index + dt*v/h (instead of dividing physical positions
     by the spacing) keeps a zero displacement exactly on the cell center, so
-    S(0) is exactly the identity. Returns (base, frac, live) as in
-    grid._stencil.
+    S(0) is exactly the identity.
     """
-    d = grid.ndim
-    s = grid.cell_count
-    index = np.unravel_index(np.arange(s), grid.dims, order="F")
-    base = np.empty((d, s), dtype=np.int64)
-    frac = np.empty((d, s))
-    live = np.empty((d, s))
-    for k in range(d):
-        n = grid.dims[k]
-        g = index[k] + (dt / grid.spacing[k]) * v.components[k]
-        g = np.clip(g, -0.5, n - 0.5)  # wall clamp for out-of-domain pushes
-        lo = np.clip(np.floor(g), 0, max(n - 2, 0)).astype(np.int64)
-        raw = g - lo
-        base[k] = lo
-        frac[k] = np.clip(raw, 0.0, 1.0)
-        live[k] = ((raw >= 0.0) & (raw <= 1.0)).astype(float)
-    return base, frac, live
+    if dt <= 0:
+        raise ValueError(f"time step must be positive, got {dt}")
+    if v.grid != grid:
+        raise ValueError("velocity field lives on a different grid")
+    index = np.array(np.unravel_index(np.arange(grid.cell_count), grid.dims, order="F"))
+    coords = index + (dt / np.asarray(grid.spacing))[:, None] * v.components
+    walls = np.asarray(grid.dims)[:, None] - 0.5
+    return _stencil(grid, np.clip(coords, -0.5, walls))
 
 
 def _assemble(rows, cols, vals, s: int) -> sparse.csr_matrix:
@@ -107,10 +98,6 @@ def advection_interp_matrix(grid: CellGrid, v: VectorField, dt: float) -> sparse
     Column j holds the deposit weights of the particle launched from cell j;
     every column sums to one and entries lie in [0, 1].
     """
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    if v.grid != grid:
-        raise ValueError("velocity field lives on a different grid")
     base, frac, _ = _deposit_stencil(grid, v, dt)
     s = grid.cell_count
     cols = np.arange(s, dtype=np.int64)
@@ -131,10 +118,6 @@ def advection_weight_gradients(grid: CellGrid, v: VectorField, dt: float) -> lis
     the derivative is zero). The directional derivative of S(v) @ rho in
     direction dv is then sum_k G_k @ (rho * dv_k).
     """
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    if v.grid != grid:
-        raise ValueError("velocity field lives on a different grid")
     base, frac, live = _deposit_stencil(grid, v, dt)
     s = grid.cell_count
     cols = np.arange(s, dtype=np.int64)

@@ -126,6 +126,15 @@ class ObservationSet:
         return self.entries[-1].time_index
 
 
+# Inner CG of the Gauss-Newton step: relative-residual target and iteration cap.
+GN_CG_TOLERANCE = 1e-2
+GN_CG_MAX_ITERS = 50
+# Armijo backtracking: sufficient-decrease constant, shrink factor and cap.
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 25
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the Gauss-Newton solve."""
@@ -134,31 +143,25 @@ class SolverConfig:
     alpha: float = 1.0
     time_steps: int = 4
     max_gn_iters: int = 50
-    gn_cg_tolerance: float = 1e-2
-    gn_cg_max_iters: int = 50
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 25
     stop_tolerance: float = 1e-6
 
+    def _ranges(self) -> tuple[tuple[str, bool, str], ...]:
+        """(key, holds, requirement) for every field with a bounded range."""
+        return (
+            ("sigma", self.sigma >= 0, "nonnegative"),
+            ("alpha", self.alpha > 0, "positive"),
+            ("time_steps", self.time_steps >= 1, "at least 1"),
+            ("max_gn_iters", self.max_gn_iters >= 1, "at least 1"),
+            ("stop_tolerance", self.stop_tolerance > 0, "positive"),
+        )
+
+    def _out_of_range(self, key: str, requirement: str):
+        raise ValueError(f"{key} must be {requirement}, got {getattr(self, key)!r}")
+
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.time_steps < 1:
-            raise ValueError("need at least one time step")
-        if self.max_gn_iters < 1:
-            raise ValueError("need at least one Gauss-Newton iteration")
-        for name in ("gn_cg_tolerance", "stop_tolerance"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.armijo_c <= 0.5:
-            raise ValueError(f"armijo_c must lie in (0, 0.5], got {self.armijo_c}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.gn_cg_max_iters < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration caps must be positive")
+        for key, holds, requirement in self._ranges():
+            if not holds:
+                self._out_of_range(key, requirement)
 
 
 @dataclass(frozen=True)
@@ -178,8 +181,11 @@ class SolveResult:
     velocity: VelocitySeries
     densities: DensitySeries
     diagnostics: list[IterationRecord]
-    converged: bool
     termination: str  # 'gradient' | 'max_iters' | 'line_search'
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "gradient"
 
     def diagnostics_csv(self) -> str:
         lines = ["iter,phi,energy,misfit,grad_norm,step_length"]
@@ -245,12 +251,7 @@ def _gn_hessian_apply(
     return adjoint_sweep(steps, frames, (misfit,), out=out)
 
 
-def _gn_step(
-    hess_apply: Callable[[np.ndarray], np.ndarray],
-    grad: np.ndarray,
-    tol: float,
-    max_iters: int,
-) -> np.ndarray:
+def _gn_step(hess_apply: Callable[[np.ndarray], np.ndarray], grad: np.ndarray) -> np.ndarray:
     """Truncated CG on the Gauss-Newton normal equations H p = -g.
 
     Stops early on the relative-residual target or on a flat/singular
@@ -262,7 +263,7 @@ def _gn_step(
     r = b.copy()
     p = r.copy()
     rs = float((r * r).sum())
-    for _ in range(max_iters):
+    for _ in range(GN_CG_MAX_ITERS):
         hp = hess_apply(p)
         curv = float((p * hp).sum())
         if curv <= 1e-16 * float((p * p).sum()):
@@ -271,7 +272,7 @@ def _gn_step(
         x += a * p
         r -= a * hp
         rs_new = float((r * r).sum())
-        if np.sqrt(rs_new) <= tol * bnorm:
+        if np.sqrt(rs_new) <= GN_CG_TOLERANCE * bnorm:
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
@@ -327,16 +328,10 @@ def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> Solve
     gnorm0 = gnorm
     records = [IterationRecord(0, phi, energy, misfit, gnorm, 0.0)]
 
-    converged = gnorm0 == 0.0
-    termination = "gradient" if converged else "max_iters"
-    if not converged:
+    termination = "gradient" if gnorm0 == 0.0 else "max_iters"
+    if termination == "max_iters":
         for it in range(1, config.max_gn_iters + 1):
-            direction = _gn_step(
-                lambda dv: _gn_hessian_apply(dv, frames, steps, obs),
-                g,
-                config.gn_cg_tolerance,
-                config.gn_cg_max_iters,
-            )
+            direction = _gn_step(lambda dv: _gn_hessian_apply(dv, frames, steps, obs), g)
             slope = float((g * direction).sum())
             if slope >= 0.0:
                 direction = -g
@@ -345,14 +340,14 @@ def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> Solve
             # frames and steps become the next linearization point
             t = 1.0
             accepted = False
-            for _ in range(config.max_backtracks + 1):
+            for _ in range(MAX_BACKTRACKS + 1):
                 trial_v = v + t * direction
                 trial = forward_frames(trial_v, rho0.values, diffusion)
                 trial_phi, trial_e, trial_m = _objective_terms(trial_v, *trial, obs)
-                if np.isfinite(trial_phi) and trial_phi <= phi + config.armijo_c * t * slope:
+                if np.isfinite(trial_phi) and trial_phi <= phi + ARMIJO_C * t * slope:
                     accepted = True
                     break
-                t *= config.backtrack_factor
+                t *= BACKTRACK_FACTOR
             if not accepted:
                 termination = "line_search"
                 break
@@ -363,7 +358,6 @@ def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> Solve
             gnorm = float(np.linalg.norm(g))
             records.append(IterationRecord(it, phi, energy, misfit, gnorm, t))
             if gnorm <= config.stop_tolerance * gnorm0:
-                converged = True
                 termination = "gradient"
                 break
 
@@ -371,7 +365,6 @@ def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> Solve
         velocity=VelocitySeries(grid, time_grid, v),
         densities=DensitySeries(grid, time_grid, frames),
         diagnostics=records,
-        converged=converged,
         termination=termination,
     )
 

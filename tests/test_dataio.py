@@ -1,6 +1,9 @@
+import dataclasses
 import gzip
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from otflow import (
     build_grid,
 )
 from otflow.dataio import (
+    RunConfig,
     read_config,
     read_streamlines_jsonl,
     read_synth_spec,
@@ -271,11 +275,48 @@ class TestRunConfig:
             read_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
-        doc = dict(MINIMAL_CONFIG, alhpa=2.0)
+        # armijo_c is a fixed solver constant, not a settable key
+        for key in ("alhpa", "armijo_c"):
+            doc = dict(MINIMAL_CONFIG, **{key: 2.0})
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                read_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sigma", -1),
+            ("max_gn_iters", 0),
+            ("seed_quantile", 0.0),
+            ("seed_quantile", 1),
+            ("streamline_step", 0),
+            ("max_streamline_steps", 0),
+            ("qb_points", 1),
+            ("qb_threshold", -0.5),
+            ("min_cluster_size", 0),
+        ],
+    )
+    def test_out_of_range_value_names_key(self, tmp_path, key, value):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="'alhpa'"):
+        path.write_text(json.dumps(dict(MINIMAL_CONFIG, **{key: value})))
+        with pytest.raises(ConfigError, match=f"'{key}'") as info:
             read_config(path)
+        assert info.value.key == key
+
+    def test_readme_table_matches_fields(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Run configuration", 1)[1].split("\n### ", 1)[0]
+        rows = dict(re.findall(r"^\| `(\w+)` \| (.+?) \|", section, flags=re.M))
+        documented = {
+            key: cell if cell == "required" else json.loads(cell.strip("`"))
+            for key, cell in rows.items()
+        }
+        expected = {
+            f.name: "required" if f.default is dataclasses.MISSING else f.default
+            for f in dataclasses.fields(RunConfig)
+        }
+        assert documented == expected
 
     def test_unknown_observation_key_names_path(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL_CONFIG))

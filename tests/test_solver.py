@@ -55,12 +55,6 @@ class TestObservationSet:
 
 
 class TestSolverConfig:
-    def test_armijo_range(self):
-        with pytest.raises(ValueError):
-            SolverConfig(armijo_c=0.7)
-        with pytest.raises(ValueError):
-            SolverConfig(armijo_c=0.0)
-
     def test_positive_tolerances(self):
         with pytest.raises(ValueError):
             SolverConfig(stop_tolerance=0.0)
