@@ -65,6 +65,7 @@ from .streamlines import (
     pathway_density,
     seed_points,
     trace_streamline,
+    trace_streamlines,
 )
 from .synth import (
     Blob,

@@ -42,7 +42,7 @@ from .solver import (
     solve,
     solve_baseline,
 )
-from .streamlines import pathway_density, seed_points, trace_streamline
+from .streamlines import pathway_density, seed_points, trace_streamlines
 from .synth import add_noise, true_density
 
 __all__ = ["main"]
@@ -135,10 +135,7 @@ def cmd_fpa(args) -> int:
         seeds = seed_points(rho0, cfg.seed_quantile)
 
         stage = "trace"
-        lines = [
-            trace_streamline(velocity, seed, step, cfg.max_streamline_steps)
-            for seed in seeds
-        ]
+        lines = trace_streamlines(velocity, seeds, step, cfg.max_streamline_steps)
         write_streamlines_jsonl(out / "streamlines.jsonl", lines)
 
         stage = "pathways"

@@ -92,11 +92,16 @@ class CellGrid:
         p = np.asarray(point, dtype=float)
         if p.shape != (self.ndim,):
             raise ValueError(f"point must have {self.ndim} coordinates")
-        for x, length in zip(p, self.lengths):
-            tol = _DOMAIN_TOL * length
-            if not (-tol <= x <= length + tol):
-                return False
-        return True
+        return bool(self.contains_points(p[None, :])[0])
+
+    def contains_points(self, points) -> np.ndarray:
+        """Row-wise `contains` over points of shape (npoints, ndim)."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.ndim:
+            raise ValueError(f"points must have shape (npoints, {self.ndim})")
+        lengths = np.asarray(self.lengths)
+        tol = _DOMAIN_TOL * lengths
+        return ((pts >= -tol) & (pts <= lengths + tol)).all(axis=1)
 
     def clamp_points(self, points: np.ndarray) -> np.ndarray:
         """Project points onto the closed domain, axis by axis."""

@@ -1,10 +1,10 @@
 """Streamline tracing through a recovered velocity trajectory.
 
 The velocity is piecewise constant in time over each solver interval and
-multilinearly interpolated in space. Trajectories are advanced with classical
-fourth-order Runge-Kutta at a fixed time step, halting at the domain boundary,
-at a stagnation point, or at the step cap. Per-voxel streamline counts give
-the global pathway picture.
+multilinearly interpolated in space. All trajectories are advanced together
+with classical fourth-order Runge-Kutta at a fixed time step, each halting on
+its own at the domain boundary, at a stagnation point, or at the step cap.
+Per-voxel streamline counts give the global pathway picture.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "PathwayMap",
     "seed_points",
     "trace_streamline",
+    "trace_streamlines",
     "pathway_density",
     "STAGNATION_SPEED",
 ]
@@ -80,56 +81,73 @@ def seed_points(density: ScalarField, threshold_quantile: float) -> np.ndarray:
     return density.grid.cell_centers()[mask]
 
 
-def _sample_clamped(grid: CellGrid, components: np.ndarray, point: np.ndarray) -> np.ndarray:
-    pos = grid.clamp_points(point[None, :])
-    return interpolate_components(grid, components, pos)[0]
+def trace_streamlines(
+    v: VelocitySeries, seeds, step_size: float, max_steps: int
+) -> list[Streamline]:
+    """Integrate dx/dt = v(t, x) from t=0 to the horizon for every seed at once.
 
-
-def trace_streamline(
-    v: VelocitySeries, seed, step_size: float, max_steps: int
-) -> Streamline:
-    """Integrate one trajectory of dx/dt = v(t, x) from t=0 to the horizon.
-
-    Runge-Kutta steps never straddle an interval boundary, so each step sees a
-    single frozen velocity frame. Intermediate stage positions are clamped to
-    the domain for sampling; a step whose endpoint leaves the closed domain
-    truncates the streamline instead.
+    All seeds advance in lockstep as one (nseeds, ndim) array: every active
+    seed takes the same step h, so each Runge-Kutta stage is one interpolation
+    over the active rows. Steps never straddle an interval boundary, so each
+    sees a single frozen velocity frame. Intermediate stage positions are
+    clamped to the domain for sampling. Each seed keeps its own halting rules:
+    it stops without a new point at a stagnation point or when a step's
+    endpoint leaves the closed domain, and all seeds share the max_steps cap.
+    Returns the streamlines in seed order.
     """
     grid = v.grid
-    seed = np.asarray(seed, dtype=float)
-    if not grid.contains(seed):
-        raise OutsideDomainError(f"seed {seed.tolist()} is outside the domain")
+    seeds = np.asarray(seeds, dtype=float)
+    outside = np.flatnonzero(~grid.contains_points(seeds))
+    if outside.size:
+        i = int(outside[0])
+        raise OutsideDomainError(f"seed {i} at {seeds[i].tolist()} is outside the domain")
     if step_size <= 0:
         raise ValueError(f"step size must be positive, got {step_size}")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
 
-    points = [seed.copy()]
-    x = seed.copy()
+    # one (seed ids, points) record per step, seeds included as step 0
+    active = np.arange(len(seeds))
+    x = seeds
+    ids, pts = [active], [x]
     dt = v.time_grid.dt
     tiny = dt * 1e-12
     steps_taken = 0
-    for n in range(v.time_grid.steps):
-        comp = v.values[n]
+    for comp in v.values:
+        def sample(p):
+            return interpolate_components(grid, comp, grid.clamp_points(p))
+
         remaining = dt
-        while remaining > tiny and steps_taken < max_steps:
+        while remaining > tiny and steps_taken < max_steps and active.size:
             h = min(step_size, remaining)
-            k1 = _sample_clamped(grid, comp, x)
-            if np.linalg.norm(k1) < STAGNATION_SPEED:
-                return Streamline(seed, np.array(points), step_size)
-            k2 = _sample_clamped(grid, comp, x + 0.5 * h * k1)
-            k3 = _sample_clamped(grid, comp, x + 0.5 * h * k2)
-            k4 = _sample_clamped(grid, comp, x + h * k3)
+            k1 = sample(x)
+            # the row-wise norm sums squares where the 1-D norm calls dot, so
+            # a speed within an ulp of STAGNATION_SPEED could halt differently
+            moving = np.linalg.norm(k1, axis=1) >= STAGNATION_SPEED
+            active, x, k1 = active[moving], x[moving], k1[moving]
+            k2 = sample(x + 0.5 * h * k1)
+            k3 = sample(x + 0.5 * h * k2)
+            k4 = sample(x + h * k3)
             y = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not grid.contains(y):
-                return Streamline(seed, np.array(points), step_size)
-            x = y
-            points.append(x.copy())
+            inside = grid.contains_points(y)
+            active, x = active[inside], y[inside]
+            ids.append(active)
+            pts.append(x)
             remaining -= h
             steps_taken += 1
-        if steps_taken >= max_steps:
-            break
-    return Streamline(seed, np.array(points), step_size)
+
+    ids = np.concatenate(ids)
+    order = np.argsort(ids, kind="stable")
+    ends = np.cumsum(np.bincount(ids, minlength=len(seeds)))[:-1]
+    per_seed = np.split(np.concatenate(pts)[order], ends)
+    return [Streamline(s, p, step_size) for s, p in zip(seeds, per_seed)]
+
+
+def trace_streamline(
+    v: VelocitySeries, seed, step_size: float, max_steps: int
+) -> Streamline:
+    """One seed's trajectory; see trace_streamlines."""
+    return trace_streamlines(v, [seed], step_size, max_steps)[0]
 
 
 def pathway_density(streamlines: list[Streamline], grid: CellGrid) -> PathwayMap:

@@ -47,6 +47,22 @@ class TestBuildGrid:
         assert idx[0] == 0
         assert idx[1] == g.cell_count - 1
 
+    def test_contains_points_closed_domain_with_slack(self):
+        g = build_grid([4, 2], [0.5, 1.0])  # domain [0, 2] x [0, 2]
+        pts = np.array([
+            [0.0, 2.0],            # on the walls
+            [-1e-13, 2 + 1e-13],   # inside the round-off slack
+            [-1e-11, 1.0],         # beyond it
+            [1.0, 2 + 1e-11],
+            [np.nan, 1.0],
+        ])
+        mask = g.contains_points(pts)
+        assert mask.tolist() == [True, True, False, False, False]
+        assert mask.tolist() == [g.contains(p) for p in pts]
+        for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2))):
+            with pytest.raises(ValueError):
+                g.contains_points(bad)
+
 
 class TestFields:
     def test_scalar_field_validates_length(self, grid_2d):

@@ -9,15 +9,18 @@ from otflow import (
     SynthSpec,
     TimeGrid,
     VelocityModel,
+    VelocitySeries,
     build_grid,
     pathway_density,
     seed_points,
     trace_streamline,
+    trace_streamlines,
     true_velocity_series,
 )
-from otflow.streamlines import Streamline
+from otflow.grid import interpolate_components
+from otflow.streamlines import STAGNATION_SPEED, Streamline
 
-from conftest import philox
+from conftest import philox, smooth_velocity
 
 
 def _rotation_series(rate, steps=1, n=64):
@@ -128,6 +131,117 @@ class TestTraceStreamline:
         v = _constant_series((0.1, 0.0))
         with pytest.raises(OutsideDomainError):
             trace_streamline(v, [1.5, 0.5], 0.01, 100)
+
+
+def _sample_clamped(grid, components, point):
+    pos = grid.clamp_points(point[None, :])
+    return interpolate_components(grid, components, pos)[0]
+
+
+def _reference_trace(v, seed, step_size, max_steps):
+    """The one-seed-at-a-time RK4 loop that the batched tracer replaced."""
+    grid = v.grid
+    seed = np.asarray(seed, dtype=float)
+    if not grid.contains(seed):
+        raise OutsideDomainError(f"seed {seed.tolist()} is outside the domain")
+    if step_size <= 0:
+        raise ValueError(f"step size must be positive, got {step_size}")
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
+
+    points = [seed.copy()]
+    x = seed.copy()
+    dt = v.time_grid.dt
+    tiny = dt * 1e-12
+    steps_taken = 0
+    for n in range(v.time_grid.steps):
+        comp = v.values[n]
+        remaining = dt
+        while remaining > tiny and steps_taken < max_steps:
+            h = min(step_size, remaining)
+            k1 = _sample_clamped(grid, comp, x)
+            if np.linalg.norm(k1) < STAGNATION_SPEED:
+                return Streamline(seed, np.array(points), step_size)
+            k2 = _sample_clamped(grid, comp, x + 0.5 * h * k1)
+            k3 = _sample_clamped(grid, comp, x + 0.5 * h * k2)
+            k4 = _sample_clamped(grid, comp, x + h * k3)
+            y = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not grid.contains(y):
+                return Streamline(seed, np.array(points), step_size)
+            x = y
+            points.append(x.copy())
+            remaining -= h
+            steps_taken += 1
+        if steps_taken >= max_steps:
+            break
+    return Streamline(seed, np.array(points), step_size)
+
+
+# 3 intervals of 1/3 at step 0.04: eight full steps and one of 1/75 each
+FULL_STEPS = 27
+CAP = 12  # inside the second interval
+
+
+def _halting_series(ndim):
+    """Random smooth flow over 3 intervals, still for x_0 < 0.3, swept out
+    through the x_0 = 1 wall for x_0 > 0.75."""
+    n = 16 if ndim == 2 else 10
+    grid = build_grid([n] * ndim, [1 / n] * ndim)
+    x0 = grid.cell_centers()[:, 0]
+    frames = []
+    for i in range(3):
+        comp = smooth_velocity(grid, seed=40 + i, scale=0.1)
+        comp[:, x0 < 0.3] = 0.0
+        comp[0, x0 > 0.75] += 1.5
+        frames.append(comp)
+    return VelocitySeries(grid, TimeGrid.unit_horizon(3), np.array(frames))
+
+
+class TestTraceStreamlines:
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("max_steps", [CAP, 10**6])
+    def test_matches_per_seed_loop(self, ndim, max_steps):
+        v = _halting_series(ndim)
+        rest = [0.5] * (ndim - 1)
+        named = np.array([
+            [0.1, *rest],   # still region: stagnates at the seed
+            [0.78, *rest],  # swept out through the wall
+            [0.5, *rest],   # runs to the cap, or to the horizon
+            [0.5, *([0.0] * (ndim - 1))],  # seeded on a wall
+        ])
+        seeds = np.vstack([named, philox(ndim).uniform(0, 1, size=(24, ndim))])
+        lines = trace_streamlines(v, seeds, 0.04, max_steps)
+        assert len(lines) == len(seeds)
+        for seed, sl in zip(seeds, lines):
+            ref = _reference_trace(v, seed, 0.04, max_steps)
+            assert np.array_equal(sl.seed, ref.seed)
+            assert np.array_equal(sl.points, ref.points)
+            assert sl.step_size == ref.step_size
+        counts = [len(sl.points) for sl in lines]
+        assert counts[0] == 1
+        assert 1 < counts[1] < min(CAP, FULL_STEPS) + 1
+        assert counts[2] == min(max_steps, FULL_STEPS) + 1
+
+    def test_outside_seed_named_before_tracing(self, monkeypatch):
+        v = _constant_series((0.1, 0.0))
+        calls = []
+        monkeypatch.setattr(
+            "otflow.streamlines.interpolate_components",
+            lambda *args: calls.append(args),
+        )
+        seeds = [[0.2, 0.2], [0.5, 0.5], [0.5, 1.01], [0.7, 0.7]]
+        with pytest.raises(OutsideDomainError, match=r"seed 2 at \[0\.5, 1\.01\]"):
+            trace_streamlines(v, seeds, 0.01, 100)
+        assert calls == []
+
+    def test_wrong_column_count(self):
+        v = _constant_series((0.1, 0.0))
+        with pytest.raises(ValueError):
+            trace_streamlines(v, np.full((3, 3), 0.5), 0.01, 100)
+
+    def test_empty_batch(self):
+        v = _constant_series((0.1, 0.0))
+        assert trace_streamlines(v, np.empty((0, 2)), 0.01, 100) == []
 
 
 class TestPathwayDensity:
