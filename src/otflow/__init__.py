@@ -64,7 +64,6 @@ from .streamlines import (
     Streamline,
     pathway_density,
     seed_points,
-    trace_streamline,
     trace_streamlines,
 )
 from .synth import (

@@ -173,8 +173,11 @@ class SplitStep:
     followed by the clamp of round-off negatives to zero, the model's one
     negative-density policy. D is symmetric, so y -> pull(D y) is the
     transpose of push in x and y -> vjp(rho, D y) its transpose in dv.
-    S, S^T and the G_k are built on first use, so a step that only advances
-    (a rejected line-search trial) never builds the derivatives.
+    S and the G_k are built on first use, so a step that only advances (a
+    rejected line-search trial) never builds the derivatives. They are CSC, so
+    S^T and G_k^T are CSR views of the same arrays, not copies. The views are
+    cached because each `.T` builds a new scipy matrix object, and at 32^2
+    that costs twice the product it feeds.
     """
 
     def __init__(self, v: VectorField, diffusion: ImplicitDiffusion):
@@ -187,7 +190,7 @@ class SplitStep:
 
     @cached_property
     def S_T(self):
-        return self.S.T.tocsr()
+        return self.S.T
 
     @cached_property
     def G(self):
@@ -195,7 +198,7 @@ class SplitStep:
 
     @cached_property
     def G_T(self):
-        return [G.T.tocsr() for G in self.G]
+        return [G.T for G in self.G]
 
     def advance(self, rho: np.ndarray) -> np.ndarray:
         out = self.push(rho)

@@ -190,13 +190,16 @@ def _stencil(grid: CellGrid, coords: np.ndarray):
     each of the same shape. base[k] is the lower neighbor index along axis k,
     frac[k] the weight toward base+1 (clipped to [0, 1]), and live[k] is 1.0
     where frac responds linearly to motion and 0.0 where it is saturated
-    against a wall.
+    against a wall. An axis with one cell has both corners on cell 0, so its
+    frac and live are pinned to 0.0: the weights stay exact and motion along
+    it changes nothing.
     """
-    top = np.maximum(np.asarray(grid.dims) - 2, 0)[:, None]
-    base = np.clip(np.floor(coords), 0, top).astype(np.int64)
+    dims = np.asarray(grid.dims)[:, None]
+    base = np.clip(np.floor(coords), 0, np.maximum(dims - 2, 0)).astype(np.int64)
     raw = coords - base
-    frac = np.clip(raw, 0.0, 1.0)
-    live = ((raw >= 0.0) & (raw <= 1.0)).astype(float)
+    single = dims == 1
+    frac = np.where(single, 0.0, np.clip(raw, 0.0, 1.0))
+    live = ((raw >= 0.0) & (raw <= 1.0) & ~single).astype(float)
     return base, frac, live
 
 

@@ -10,18 +10,20 @@ Two operator families live here:
   multilinear weights. Columns therefore sum to exactly one and no mass can
   leave the grid (displaced positions are clamped to the domain walls).
 
-Operators are returned as ``scipy.sparse.csr_matrix`` in canonical CSR form
-(duplicates summed, indices sorted), which fixes a deterministic entry order.
+The diffusion stencil is a canonical ``scipy.sparse.csr_matrix``. S and its
+weight gradients G_k share one ``scipy.sparse.csc_matrix`` pattern: column j
+lists the 2^d corner cells of particle j in ascending row order (an axis with
+one cell lists its cell twice, the second time with weight zero), and weights
+that vanish at the walls or on a cell center stay as explicit zeros. The
+transposes S^T and G_k^T are CSR views of the same arrays.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 import scipy.sparse as sparse
 
-from .grid import CellGrid, VectorField, _corner_flat, _corner_weight, _stencil
+from .grid import CellGrid, VectorField, _stencil
 
 __all__ = [
     "assemble_diffusion_operator",
@@ -81,35 +83,44 @@ def _deposit_stencil(grid: CellGrid, v: VectorField, dt: float):
     return _stencil(grid, np.clip(coords, -0.5, walls))
 
 
-def _assemble(rows, cols, vals, s: int) -> sparse.csr_matrix:
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(s, s),
-    ).tocsr()
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    mat.sort_indices()
-    return mat
+def _fold_corners(pairs, combine, start: np.ndarray) -> np.ndarray:
+    """Fold one (bit 0, bit 1) pair of values per axis over the 2^d stencil corners.
+
+    Returns shape (2^d, npoints). Corner c takes bit (c >> k) & 1 on axis k,
+    so axis 0 varies fastest and the corner cells of each particle ascend.
+    """
+    out = start[None, :]
+    for lo, hi in pairs:
+        out = np.vstack([combine(out, lo), combine(out, hi)])
+    return out
 
 
-def advection_interp_matrix(grid: CellGrid, v: VectorField, dt: float) -> sparse.csr_matrix:
+def _deposit_family(grid: CellGrid, base: np.ndarray, data: list[np.ndarray]) -> list[sparse.csc_matrix]:
+    """CSC matrices on the one deposit pattern, one per (2^d, cell_count) `data`,
+    sharing one `indices` and one `indptr` array (see the module docstring)."""
+    s = grid.cell_count
+    strides = np.cumprod((1,) + grid.dims[:-1])
+    steps = [(0, stride * (n > 1)) for n, stride in zip(grid.dims, strides)]
+    rows = _fold_corners(steps, np.add, np.ravel_multi_index(base, grid.dims, order="F"))
+    # scipy's own choice; any other dtype makes each matrix cast a private copy
+    index_dtype = np.int32 if rows.size < 2**31 else np.int64
+    indices = rows.astype(index_dtype).ravel(order="F")
+    indptr = np.arange(0, rows.size + 1, len(rows), dtype=index_dtype)
+    return [sparse.csc_matrix((d.ravel(order="F"), indices, indptr), shape=(s, s)) for d in data]
+
+
+def advection_interp_matrix(grid: CellGrid, v: VectorField, dt: float) -> sparse.csc_matrix:
     """Push-and-deposit matrix S of one conservative advection step.
 
     Column j holds the deposit weights of the particle launched from cell j;
     every column sums to one and entries lie in [0, 1].
     """
     base, frac, _ = _deposit_stencil(grid, v, dt)
-    s = grid.cell_count
-    cols = np.arange(s, dtype=np.int64)
-    all_rows, all_cols, all_vals = [], [], []
-    for offsets in product((0, 1), repeat=grid.ndim):
-        all_rows.append(_corner_flat(grid, base, offsets))
-        all_cols.append(cols)
-        all_vals.append(_corner_weight(frac, offsets))
-    return _assemble(all_rows, all_cols, all_vals, s)
+    weights = _fold_corners(zip(1.0 - frac, frac), np.multiply, np.ones(grid.cell_count))
+    return _deposit_family(grid, base, [weights])[0]
 
 
-def advection_weight_gradients(grid: CellGrid, v: VectorField, dt: float) -> list[sparse.csr_matrix]:
+def advection_weight_gradients(grid: CellGrid, v: VectorField, dt: float) -> list[sparse.csc_matrix]:
     """Derivative of the deposit weights with respect to each velocity component.
 
     Returns one matrix G_k per axis with G_k[i, j] = d S[i, j] / d v_k[j],
@@ -119,21 +130,11 @@ def advection_weight_gradients(grid: CellGrid, v: VectorField, dt: float) -> lis
     direction dv is then sum_k G_k @ (rho * dv_k).
     """
     base, frac, live = _deposit_stencil(grid, v, dt)
-    s = grid.cell_count
-    cols = np.arange(s, dtype=np.int64)
-    grads = []
+    factors = list(zip(1.0 - frac, frac))
+    data = []
     for k in range(grid.ndim):
+        # axis k contributes the sign of d frac_k, every other axis its weight
+        signed = factors[:k] + [(-1.0, 1.0)] + factors[k + 1 :]
         scale = (dt / grid.spacing[k]) * live[k]
-        all_rows, all_cols, all_vals = [], [], []
-        for offsets in product((0, 1), repeat=grid.ndim):
-            partial = np.ones(s)
-            for axis, bit in enumerate(offsets):
-                if axis == k:
-                    continue
-                partial *= frac[axis] if bit else (1.0 - frac[axis])
-            sign = 1.0 if offsets[k] else -1.0
-            all_rows.append(_corner_flat(grid, base, offsets))
-            all_cols.append(cols)
-            all_vals.append(sign * scale * partial)
-        grads.append(_assemble(all_rows, all_cols, all_vals, s))
-    return grads
+        data.append(_fold_corners(signed, np.multiply, np.ones(grid.cell_count)) * scale)
+    return _deposit_family(grid, base, data)

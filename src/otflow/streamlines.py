@@ -21,7 +21,6 @@ __all__ = [
     "Streamline",
     "PathwayMap",
     "seed_points",
-    "trace_streamline",
     "trace_streamlines",
     "pathway_density",
     "STAGNATION_SPEED",
@@ -141,13 +140,6 @@ def trace_streamlines(
     ends = np.cumsum(np.bincount(ids, minlength=len(seeds)))[:-1]
     per_seed = np.split(np.concatenate(pts)[order], ends)
     return [Streamline(s, p, step_size) for s, p in zip(seeds, per_seed)]
-
-
-def trace_streamline(
-    v: VelocitySeries, seed, step_size: float, max_steps: int
-) -> Streamline:
-    """One seed's trajectory; see trace_streamlines."""
-    return trace_streamlines(v, [seed], step_size, max_steps)[0]
 
 
 def pathway_density(streamlines: list[Streamline], grid: CellGrid) -> PathwayMap:

@@ -189,6 +189,9 @@ class TestSplitStep:
         # the solve D is symmetric: y -> pull(D y) is the transpose of push
         assert x @ step.pull(D(y)) == pytest.approx(step.push(x) @ y, rel=1e-12)
         assert (dv * step.vjp(rho, y)).sum() == pytest.approx(step.jvp(rho, dv) @ y, rel=1e-12)
+        # the transposes are views of the matrices, not copies
+        for M, M_T in zip([step.S, *step.G], [step.S_T, *step.G_T], strict=True):
+            assert np.shares_memory(M_T.data, M.data)
 
     @pytest.mark.parametrize("seed,sigma", [(0, 0.0), (1, 0.01)])
     def test_linearized_sweep_matches_central_difference(self, seed, sigma):

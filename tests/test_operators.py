@@ -1,9 +1,14 @@
+from itertools import product
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
 from otflow import ScalarField, VectorField, advect_velocity_jacobian_apply, build_grid
+from otflow.grid import _corner_flat, _corner_weight
 from otflow.operators import (
+    _deposit_stencil,
     advection_interp_matrix,
     advection_weight_gradients,
     assemble_diffusion_operator,
@@ -79,6 +84,75 @@ class TestDepositMatrix:
         S = advection_interp_matrix(g, VectorField.constant(g, [10.0]), 1.0)
         out = S @ np.array([0.25, 0.25, 0.25, 0.25])
         np.testing.assert_allclose(out, [0, 0, 0, 1.0])
+
+    def test_one_cell_axis_deposits_like_the_flat_grid(self):
+        # motion along a 1-cell axis moves nothing, so (4, 1, 6) is exactly (4, 6)
+        flat = build_grid([4, 6], [0.25, 0.2])
+        thick = build_grid([4, 1, 6], [0.25, 0.5, 0.2])
+        rng = philox(0)
+        vel = rng.uniform(-1.0, 1.0, (3, thick.cell_count))
+        vel[1] = rng.uniform(0.2, 1.0, thick.cell_count)  # every particle leaves its center
+        x = rng.uniform(0.0, 1.0, thick.cell_count)
+        S_thick = advection_interp_matrix(thick, VectorField(thick, vel), 0.3)
+        S_flat = advection_interp_matrix(flat, VectorField(flat, vel[[0, 2]]), 0.3)
+        assert np.array_equal(S_thick @ x, S_flat @ x)
+
+
+def _reference_deposit(grid, v, dt):
+    """The COO -> canonical CSR assembly of S and the G_k that the shared CSC
+    pattern replaced, with the transposes copied to CSR as the step kept them."""
+    base, frac, live = _deposit_stencil(grid, v, dt)
+    s = grid.cell_count
+    corners = list(product((0, 1), repeat=grid.ndim))
+
+    def assemble(vals):
+        rows = np.concatenate([_corner_flat(grid, base, c) for c in corners])
+        cols = np.tile(np.arange(s), len(corners))
+        mat = sparse.coo_matrix((np.concatenate(vals), (rows, cols)), shape=(s, s)).tocsr()
+        mat.sum_duplicates()
+        mat.eliminate_zeros()
+        mat.sort_indices()
+        return mat
+
+    S = assemble([_corner_weight(frac, c) for c in corners])
+    grads = []
+    for k in range(grid.ndim):
+        scale = (dt / grid.spacing[k]) * live[k]
+        vals = []
+        for c in corners:
+            partial = np.ones(s)
+            for axis, bit in enumerate(c):
+                if axis != k:
+                    partial *= frac[axis] if bit else (1.0 - frac[axis])
+            vals.append((1.0 if c[k] else -1.0) * scale * partial)
+        grads.append(assemble(vals))
+    return S, grads
+
+
+class TestDepositPattern:
+    @pytest.mark.parametrize(
+        "dims, spacing", [([9, 7], [0.1, 0.2]), ([6, 5, 4], [0.2, 0.25, 0.3])]
+    )
+    def test_products_match_csr_assembly_bitwise(self, dims, spacing):
+        grid = build_grid(dims, spacing)
+        rng = philox(17)
+        # displacements of several cells push many particles past the walls
+        v = VectorField(grid, rng.uniform(-2.0, 2.0, (grid.ndim, grid.cell_count)))
+        dt = 0.5
+        x = rng.standard_normal(grid.cell_count)
+        y = rng.standard_normal(grid.cell_count)
+        S = advection_interp_matrix(grid, v, dt)
+        grads = advection_weight_gradients(grid, v, dt)
+        S_ref, grads_ref = _reference_deposit(grid, v, dt)
+        assert np.array_equal(S @ x, S_ref @ x)
+        assert np.array_equal(S.T @ y, S_ref.T.tocsr() @ y)
+        assert np.shares_memory(S.T.data, S.data)
+        assert np.shares_memory(S.T.indices, S.indices)
+        for G, G_ref in zip(grads, grads_ref, strict=True):
+            assert np.array_equal(G @ x, G_ref @ x)
+            assert np.array_equal(G.T @ y, G_ref.T.tocsr() @ y)
+            assert np.array_equal(G.indices, S.indices)
+            assert np.shares_memory(G.indices, grads[0].indices)
 
 
 class TestWeightGradients:

@@ -13,7 +13,6 @@ from otflow import (
     build_grid,
     pathway_density,
     seed_points,
-    trace_streamline,
     trace_streamlines,
     true_velocity_series,
 )
@@ -82,14 +81,14 @@ class TestSeedPoints:
 class TestTraceStreamline:
     def test_zero_velocity_stagnates_at_seed(self):
         v = _constant_series((0.0, 0.0))
-        sl = trace_streamline(v, [0.4, 0.6], 0.01, 1000)
+        sl = trace_streamlines(v, [[0.4, 0.6]], 0.01, 1000)[0]
         assert sl.points.shape == (1, 2)
         np.testing.assert_allclose(sl.points[0], [0.4, 0.6])
 
     def test_constant_field_straight_ray(self):
         vec = np.array([0.31, 0.17])
         v = _constant_series(tuple(vec))
-        sl = trace_streamline(v, [0.2, 0.3], 1 / 200, 10**6)
+        sl = trace_streamlines(v, [[0.2, 0.3]], 1 / 200, 10**6)[0]
         rel = sl.points - sl.points[0]
         direction = vec / np.linalg.norm(vec)
         off_axis = rel - np.outer(rel @ direction, direction)
@@ -100,7 +99,7 @@ class TestTraceStreamline:
     def test_rotation_stays_on_circle(self):
         v = _rotation_series(2 * np.pi)
         radius = 0.25
-        sl = trace_streamline(v, [0.5 + radius, 0.5], 1 / 1000, 10**6)
+        sl = trace_streamlines(v, [[0.5 + radius, 0.5]], 1 / 1000, 10**6)[0]
         radii = np.linalg.norm(sl.points - [0.5, 0.5], axis=1)
         assert np.abs(radii - radius).max() < 1e-4 * radius
 
@@ -109,7 +108,7 @@ class TestTraceStreamline:
         seed = [0.75, 0.5]
 
         def endpoint(step):
-            return trace_streamline(v, seed, step, 10**7).points[-1]
+            return trace_streamlines(v, [seed], step, 10**7)[0].points[-1]
 
         e1 = np.linalg.norm(endpoint(1 / 100) - endpoint(1 / 800))
         e2 = np.linalg.norm(endpoint(1 / 200) - endpoint(1 / 800))
@@ -117,20 +116,20 @@ class TestTraceStreamline:
 
     def test_boundary_halt_keeps_points_inside(self):
         v = _constant_series((2.0, 0.0))
-        sl = trace_streamline(v, [0.9, 0.5], 0.01, 10**6)
+        sl = trace_streamlines(v, [[0.9, 0.5]], 0.01, 10**6)[0]
         lengths = np.asarray(v.grid.lengths)
         assert (sl.points >= 0).all() and (sl.points <= lengths).all()
         assert len(sl.points) < 20  # halted long before the step budget
 
     def test_max_steps_cap(self):
         v = _rotation_series(2 * np.pi)
-        sl = trace_streamline(v, [0.75, 0.5], 1 / 1000, 25)
+        sl = trace_streamlines(v, [[0.75, 0.5]], 1 / 1000, 25)[0]
         assert sl.points.shape[0] == 26
 
     def test_seed_outside_domain(self):
         v = _constant_series((0.1, 0.0))
         with pytest.raises(OutsideDomainError):
-            trace_streamline(v, [1.5, 0.5], 0.01, 100)
+            trace_streamlines(v, [[1.5, 0.5]], 0.01, 100)[0]
 
 
 def _sample_clamped(grid, components, point):
