@@ -23,6 +23,7 @@ import numpy as np
 from .bundles import cluster_label_volume, quickbundles, resample_track, significant_clusters
 from .dataio import (
     RunConfig,
+    _json_dump,
     read_config,
     read_synth_spec,
     read_velocity_series,
@@ -183,8 +184,6 @@ def cmd_synth(args) -> int:
                 "noise_seed": noise_seed,
             }
         )
-    from .dataio import _json_dump  # deterministic dump shared with other writers
-
     manifest = {
         "total_mass": spec.total_mass(),
         "noise_std": spec.noise_std,

@@ -358,9 +358,7 @@ def _typecheck(value, types, key: str):
     if not isinstance(types, tuple):
         types = (types,)
     # bool is an int subclass; only accept it where bool is explicitly listed
-    if isinstance(value, bool) and bool not in types:
-        raise ConfigError(f"key {key!r} has wrong type (expected {_typenames(types)})", key)
-    if not isinstance(value, types):
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise ConfigError(f"key {key!r} has wrong type (expected {_typenames(types)})", key)
     return value
 
@@ -410,6 +408,8 @@ def read_config(path) -> RunConfig:
         if "time_index" not in entry or "path" not in entry:
             raise ConfigError(f"{where} needs 'time_index' and 'path'", where)
         idx = _typecheck(entry["time_index"], int, f"{where}.time_index")
+        if idx < 0:
+            raise ConfigError(f"{where}.time_index must be nonnegative", f"{where}.time_index")
         p = _typecheck(entry["path"], str, f"{where}.path")
         w = _typecheck(entry.get("weight", 1.0), (int, float), f"{where}.weight")
         if w <= 0:
@@ -454,6 +454,8 @@ def read_synth_spec(path) -> SynthSpec:
     for key in ("dims", "spacing", "blobs", "velocity"):
         if key not in doc:
             raise ConfigError(f"missing required key {key!r}", key)
+    if not isinstance(doc["blobs"], list):
+        raise ConfigError("'blobs' must be a list", "blobs")
     blobs = []
     for i, b in enumerate(doc["blobs"]):
         where = f"blobs[{i}]"

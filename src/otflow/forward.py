@@ -34,10 +34,7 @@ __all__ = [
     "DensitySeries",
     "VelocitySeries",
     "ImplicitDiffusion",
-    "advect_step",
-    "diffuse_step",
     "simulate",
-    "advect_velocity_jacobian_apply",
 ]
 
 @dataclass(frozen=True)
@@ -109,9 +106,6 @@ class VelocitySeries:
     def frame(self, n: int) -> VectorField:
         return VectorField(self.grid, self.values[n])
 
-    def with_values(self, values: np.ndarray) -> "VelocitySeries":
-        return VelocitySeries(self.grid, self.time_grid, values)
-
 
 def _dct_basis(n: int) -> np.ndarray:
     """Orthonormal DCT-II matrix: C[j, i] = sqrt(2/n) cos(pi j (2i+1) / 2n), row 0 / sqrt(2)."""
@@ -124,7 +118,7 @@ def _dct_basis(n: int) -> np.ndarray:
 
 class ImplicitDiffusion:
     """Reusable backward-Euler diffusion solve (I - dt*A) x = b, A the zero-flux
-    div(sigma^2 grad) of `operators.assemble_diffusion_operator`.
+    div(sigma^2 grad) on the cell-centered grid.
 
     The per-axis DCT-II bases diagonalize A exactly: mode j of an axis with n
     cells and spacing h has eigenvalue -sigma^2 * 4 sin^2(pi j / 2n) / h^2.
@@ -158,11 +152,6 @@ class ImplicitDiffusion:
         for k, C in enumerate(self.bases):
             x = np.moveaxis(np.tensordot(C.T, x, axes=(1, k)), 0, k)
         return x.ravel(order="F")
-
-
-def _require_density(values: np.ndarray, what: str):
-    if np.any(values < 0):
-        raise ValueError(f"{what} must be nonnegative")
 
 
 class SplitStep:
@@ -228,28 +217,12 @@ class SplitStep:
         return out
 
 
-def advect_step(rho: ScalarField, v: VectorField, dt: float) -> ScalarField:
-    """One conservative particle-deposit advection step."""
-    if rho.grid != v.grid:
-        raise GridMismatchError("density and velocity grids differ")
-    _require_density(rho.values, "density")
-    step = SplitStep(v, ImplicitDiffusion(v.grid, 0.0, dt))
-    return ScalarField(rho.grid, step.push(rho.values))
-
-
-def diffuse_step(rho_star: ScalarField, sigma: float, dt: float) -> ScalarField:
-    """One backward-Euler diffusion step: a split step at zero velocity, whose
-    deposit is exactly the identity, so it clamps round-off negatives to zero."""
-    _require_density(rho_star.values, "density")
-    step = SplitStep(VectorField.zeros(rho_star.grid), ImplicitDiffusion(rho_star.grid, sigma, dt))
-    return ScalarField(rho_star.grid, step.advance(rho_star.values))
-
-
 def simulate(v: VelocitySeries, rho0: ScalarField, sigma: float) -> DensitySeries:
     """Advance rho0 through all intervals of the velocity series."""
     if rho0.grid != v.grid:
         raise GridMismatchError("initial density and velocity grids differ")
-    _require_density(rho0.values, "initial density")
+    if np.any(rho0.values < 0):
+        raise ValueError("initial density must be nonnegative")
     diffusion = ImplicitDiffusion(v.grid, sigma, v.time_grid.dt)
     frames, _ = forward_frames(v.values, rho0.values, diffusion)
     return DensitySeries(v.grid, v.time_grid, frames)
@@ -296,16 +269,3 @@ def adjoint_sweep(
             lam = steps[n].pull(mu)
     return out
 
-
-def advect_velocity_jacobian_apply(
-    rho: ScalarField, v: VectorField, dv: VectorField, dt: float
-) -> ScalarField:
-    """Directional derivative of S(v) @ rho with respect to v, direction dv.
-
-    The deposit-cell assignment of each particle is held fixed, matching the
-    piecewise-linear dependence of the deposit weights on the displacement.
-    """
-    if rho.grid != v.grid or dv.grid != v.grid:
-        raise GridMismatchError("fields live on different grids")
-    step = SplitStep(v, ImplicitDiffusion(v.grid, 0.0, dt))
-    return ScalarField(rho.grid, step.jvp(rho.values, dv.components))

@@ -11,18 +11,13 @@ strip between the outermost centers and the domain walls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
-
-from .errors import OutsideDomainError
 
 __all__ = [
     "CellGrid",
     "ScalarField",
     "VectorField",
-    "build_grid",
-    "sample_vector_field",
 ]
 
 # Relative slack when testing whether a point lies inside the closed domain.
@@ -87,15 +82,8 @@ class CellGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel(order="F") for m in mesh], axis=1)
 
-    def contains(self, point) -> bool:
-        """True when the point lies inside the closed domain (tiny slack for round-off)."""
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.ndim,):
-            raise ValueError(f"point must have {self.ndim} coordinates")
-        return bool(self.contains_points(p[None, :])[0])
-
     def contains_points(self, points) -> np.ndarray:
-        """Row-wise `contains` over points of shape (npoints, ndim)."""
+        """Mask of the points (npoints, ndim) inside the closed domain (slack for round-off)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.ndim:
             raise ValueError(f"points must have shape (npoints, {self.ndim})")
@@ -116,11 +104,6 @@ class CellGrid:
             i = np.floor(pts[:, k] / self.spacing[k]).astype(np.int64)
             idx.append(np.clip(i, 0, self.dims[k] - 1))
         return np.ravel_multi_index(idx, self.dims, order="F")
-
-
-def build_grid(dims, spacing) -> CellGrid:
-    """Construct a grid from per-axis cell counts and spacings."""
-    return CellGrid(tuple(dims), tuple(spacing))
 
 
 @dataclass(eq=False)
@@ -177,10 +160,6 @@ class VectorField:
         vec = np.asarray(vector, dtype=float)
         return cls(grid, np.repeat(vec[:, None], grid.cell_count, axis=1))
 
-    def speed(self) -> np.ndarray:
-        """Euclidean magnitude per cell."""
-        return np.sqrt((self.components**2).sum(axis=0))
-
 
 def _stencil(grid: CellGrid, coords: np.ndarray):
     """Multilinear cell-center stencil at index coordinates inside the closed domain.
@@ -203,20 +182,26 @@ def _stencil(grid: CellGrid, coords: np.ndarray):
     return base, frac, live
 
 
-def _corner_flat(grid: CellGrid, base: np.ndarray, offsets) -> np.ndarray:
-    """Flat cell index of one stencil corner (indices clipped for 1-cell axes)."""
-    idx = [
-        np.minimum(base[k] + offsets[k], grid.dims[k] - 1)
-        for k in range(grid.ndim)
-    ]
-    return np.ravel_multi_index(idx, grid.dims, order="F")
+def _fold_corners(pairs, combine, start: np.ndarray) -> np.ndarray:
+    """Fold one (bit 0, bit 1) pair of values per axis over the 2^d stencil corners.
+
+    Returns shape (2^d, npoints). Corner c takes bit (c >> k) & 1 on axis k,
+    so axis 0 varies fastest and the corner cells of each point ascend.
+    """
+    out = start[None, :]
+    for lo, hi in pairs:
+        out = np.vstack([combine(out, lo), combine(out, hi)])
+    return out
 
 
-def _corner_weight(frac: np.ndarray, offsets) -> np.ndarray:
-    w = np.ones(frac.shape[1])
-    for k, bit in enumerate(offsets):
-        w *= frac[k] if bit else (1.0 - frac[k])
-    return w
+def _corner_cells(grid: CellGrid, base: np.ndarray) -> np.ndarray:
+    """Flat indices of the 2^d stencil corners of each point, shape (2^d, npoints).
+
+    An axis with one cell adds a zero step, so both its corners are cell 0.
+    """
+    strides = np.cumprod((1,) + grid.dims[:-1])
+    steps = [(0, stride * (n > 1)) for n, stride in zip(grid.dims, strides)]
+    return _fold_corners(steps, np.add, np.ravel_multi_index(base, grid.dims, order="F"))
 
 
 def interpolate_components(grid: CellGrid, components: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -226,21 +211,10 @@ def interpolate_components(grid: CellGrid, components: np.ndarray, positions: np
     lie inside the closed domain (clamp first if unsure). Returns (npoints, ncomp).
     """
     base, frac, _ = _stencil(grid, positions.T / np.asarray(grid.spacing)[:, None] - 0.5)
+    weights = _fold_corners(zip(1.0 - frac, frac), np.multiply, np.ones(positions.shape[0]))
+    cells = _corner_cells(grid, base)
     out = np.zeros((positions.shape[0], components.shape[0]))
-    for offsets in product((0, 1), repeat=grid.ndim):
-        flat = _corner_flat(grid, base, offsets)
-        w = _corner_weight(frac, offsets)
-        out += w[:, None] * components[:, flat].T
+    # add the corners with the last axis fastest: traced streamlines depend on this rounding
+    for c in np.arange(len(cells)).reshape((2,) * grid.ndim).ravel(order="F"):
+        out += weights[c][:, None] * components[:, cells[c]].T
     return out
-
-
-def sample_vector_field(v: VectorField, point) -> np.ndarray:
-    """Velocity vector at one physical point by multilinear interpolation.
-
-    Points in the half-cell strip next to a wall use the clamped boundary-cell
-    value. Points outside the closed domain are rejected.
-    """
-    p = np.asarray(point, dtype=float)
-    if not v.grid.contains(p):
-        raise OutsideDomainError(f"point {p.tolist()} is outside the domain")
-    return interpolate_components(v.grid, v.components, p[None, :])[0]

@@ -1,4 +1,4 @@
-"""Synthetic ground-truth generators and independent oracles for testing.
+"""Synthetic ground-truth generators.
 
 All randomness flows through the counter-based Philox generator keyed by an
 explicit seed, so generated fields are bit-identical across runs and
@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
 from .forward import TimeGrid, VelocitySeries
 from .grid import CellGrid, ScalarField
 
@@ -27,7 +27,6 @@ __all__ = [
     "true_density",
     "true_velocity_series",
     "add_noise",
-    "finite_difference_gradient",
 ]
 
 
@@ -94,7 +93,10 @@ class VelocityModel:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Full description of a synthetic instance, including its noise seed."""
+    """Full description of a synthetic instance, including its noise seed.
+
+    Each check raises a `ConfigError` that names the spec-file key at fault.
+    """
 
     dims: tuple[int, ...]
     spacing: tuple[float, ...]
@@ -104,24 +106,32 @@ class SynthSpec:
     noise_std: float = 0.0
     rng_seed: int = 0
     observe_times: tuple[float, ...] = (0.0, 1.0)
+    grid: CellGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma_true < 0:
-            raise ValueError("sigma_true must be nonnegative")
+            raise ConfigError("'sigma_true' must be nonnegative", "sigma_true")
         if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+            raise ConfigError("'noise_std' must be nonnegative", "noise_std")
         if not self.blobs:
-            raise ValueError("need at least one blob")
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(h) for h in self.spacing))
+            raise ConfigError("need at least one blob", "blobs")
+        vectors = [("spacing", self.spacing), ("velocity.value", self.velocity.value),
+                   ("velocity.center", self.velocity.center)]
+        vectors += [(f"blobs[{i}].center", b.center) for i, b in enumerate(self.blobs)]
+        for key, vector in vectors:
+            if vector is not None and len(vector) != len(self.dims):
+                raise ConfigError(f"{key!r} needs one entry per axis of 'dims'", key)
+        if self.velocity.kind != "constant" and len(self.dims) < 2:
+            raise ConfigError(f"'velocity.kind' {self.velocity.kind!r} needs two axes",
+                              "velocity.kind")
+        grid = CellGrid(self.dims, self.spacing)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "dims", grid.dims)
+        object.__setattr__(self, "spacing", grid.spacing)
         object.__setattr__(self, "blobs", tuple(self.blobs))
         object.__setattr__(
             self, "observe_times", tuple(float(t) for t in self.observe_times)
         )
-
-    @property
-    def grid(self) -> CellGrid:
-        return CellGrid(self.dims, self.spacing)
 
     def total_mass(self) -> float:
         return sum(b.mass for b in self.blobs)
@@ -230,16 +240,3 @@ def add_noise(field: ScalarField, std: float, seed: int) -> ScalarField:
     noisy = field.values + std * rng.standard_normal(field.values.shape)
     return ScalarField(field.grid, np.maximum(noisy, 0.0))
 
-
-def finite_difference_gradient(
-    f: Callable[[VelocitySeries], float],
-    v: VelocitySeries,
-    dv: VelocitySeries,
-    eps: float,
-) -> float:
-    """Central-difference directional derivative of a velocity functional."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    plus = f(v.with_values(v.values + eps * dv.values))
-    minus = f(v.with_values(v.values - eps * dv.values))
-    return (plus - minus) / (2.0 * eps)

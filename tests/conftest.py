@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 
-from otflow import (
+from otflow.forward import TimeGrid, VelocitySeries
+from otflow.grid import CellGrid, ScalarField
+from otflow.solver import ObservationEntry, ObservationSet, SolverConfig
+from otflow.synth import (
     Blob,
-    CellGrid,
-    ObservationEntry,
-    ObservationSet,
-    ScalarField,
-    SolverConfig,
     SynthSpec,
-    TimeGrid,
     VelocityModel,
-    VelocitySeries,
     analytic_evolution,
-    build_grid,
     gaussian_blob,
     initial_density,
 )
@@ -61,7 +56,7 @@ def far_from_deposit_kinks(grid: CellGrid, v_values: np.ndarray, dt: float,
 
 def gradient_check_instance(seed: int, sigma: float):
     """Random small solve instance plus a kink-free velocity and direction."""
-    grid = build_grid([8, 8], [1 / 8, 1 / 8])
+    grid = CellGrid([8, 8], [1 / 8, 1 / 8])
     tg = TimeGrid.unit_horizon(3)
     floor = 0.05 / grid.cell_count
     rho0 = ScalarField(grid, gaussian_blob(grid, (0.45, 0.5), 0.15, 1.0).values + floor)
@@ -101,4 +96,4 @@ def translating_pair(n: int = 32, shift_cells: int = 3, width: float = 0.125):
 
 @pytest.fixture
 def grid_2d() -> CellGrid:
-    return build_grid([8, 6], [0.5, 0.25])
+    return CellGrid([8, 6], [0.5, 0.25])

@@ -1,0 +1,57 @@
+"""Independent oracles that the tests check the package against."""
+
+from typing import Callable
+
+import numpy as np
+import scipy.sparse as sparse
+
+from otflow.forward import VelocitySeries
+from otflow.grid import CellGrid
+
+
+def assemble_diffusion_operator(grid: CellGrid, sigma: float) -> sparse.csr_matrix:
+    """Assemble div(sigma^2 grad) on the cell-centered grid with zero-flux walls.
+
+    The result is symmetric, negative semidefinite, and has exactly zero row
+    sums, so the implicit step (I - dt*A) conserves total mass.
+    """
+    if sigma < 0:
+        raise ValueError(f"diffusivity must be nonnegative, got {sigma}")
+    s = grid.cell_count
+    if sigma == 0.0:
+        return sparse.csr_matrix((s, s))
+    acc = None
+    for k in range(grid.ndim):
+        n = grid.dims[k]
+        if n == 1:
+            continue  # no neighbors along this axis, no flux
+        h = grid.spacing[k]
+        main = np.full(n, -2.0)
+        main[0] = -1.0
+        main[-1] = -1.0
+        off = np.ones(n - 1)
+        lap = sparse.diags([off, main, off], [-1, 0, 1]) * (sigma**2 / h**2)
+        before = int(np.prod(grid.dims[:k], dtype=np.int64))
+        after = int(np.prod(grid.dims[k + 1 :], dtype=np.int64))
+        term = sparse.kron(sparse.identity(after), sparse.kron(lap, sparse.identity(before)))
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return sparse.csr_matrix((s, s))
+    out = acc.tocsr()
+    out.sum_duplicates()
+    out.sort_indices()
+    return out
+
+
+def finite_difference_gradient(
+    f: Callable[[VelocitySeries], float],
+    v: VelocitySeries,
+    dv: VelocitySeries,
+    eps: float,
+) -> float:
+    """Central-difference directional derivative of a velocity functional."""
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    plus = f(VelocitySeries(v.grid, v.time_grid, v.values + eps * dv.values))
+    minus = f(VelocitySeries(v.grid, v.time_grid, v.values - eps * dv.values))
+    return (plus - minus) / (2.0 * eps)

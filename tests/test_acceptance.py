@@ -12,38 +12,35 @@ import time
 import numpy as np
 import pytest
 
-from otflow import (
-    Blob,
+from otflow.bundles import quickbundles
+from otflow.forward import ImplicitDiffusion, SplitStep, TimeGrid, simulate
+from otflow.grid import CellGrid, VectorField
+from otflow.solver import (
     ObservationEntry,
     ObservationSet,
-    ScalarField,
     SolverConfig,
-    SynthSpec,
-    TimeGrid,
-    VectorField,
-    VelocityModel,
-    add_noise,
-    advect_step,
-    analytic_evolution,
-    build_grid,
-    diffuse_step,
-    finite_difference_gradient,
     gradient,
-    initial_density,
     objective,
-    quickbundles,
     registration_errors,
     rmse_between_series,
-    simulate,
     solve,
     solve_baseline,
-    trace_streamlines,
+)
+from otflow.streamlines import trace_streamlines
+from otflow.synth import (
+    Blob,
+    SynthSpec,
+    VelocityModel,
+    add_noise,
+    analytic_evolution,
+    initial_density,
     true_velocity_series,
 )
 from otflow.cli import main as cli_main
 from otflow.dataio import read_volume, write_volume
 from otflow.errors import VolumeFormatError
 
+from oracles import finite_difference_gradient
 from conftest import gradient_check_instance, philox, smooth_velocity, translating_pair
 from test_bundles import planted_bundles
 from test_dataio import craft_nifti_bytes
@@ -97,24 +94,19 @@ def noisy_endpoint_pair():
 
 def test_c01_conservation():
     start = time.perf_counter()
-    grid = build_grid([16, 16, 16], [1 / 16, 1 / 16, 1 / 16])
+    grid = CellGrid([16, 16, 16], [1 / 16, 1 / 16, 1 / 16])
     dt = 0.25
     worst_advect, worst_diffuse = 0.0, 0.0
     for trial in range(100):
         sigma = (0.0, 0.002, 0.2)[trial % 3]
         rng = philox(trial)
         v = VectorField(grid, smooth_velocity(grid, trial, scale=0.08))
-        rho = ScalarField(grid, rng.uniform(0.0, 1.0, grid.cell_count))
-        advected = advect_step(rho, v, dt)
-        worst_advect = max(
-            worst_advect,
-            abs(advected.total_mass() - rho.total_mass()) / rho.total_mass(),
-        )
-        diffused = diffuse_step(advected, sigma, dt)
-        worst_diffuse = max(
-            worst_diffuse,
-            abs(diffused.total_mass() - rho.total_mass()) / rho.total_mass(),
-        )
+        rho = rng.uniform(0.0, 1.0, grid.cell_count)
+        advected = SplitStep(v, ImplicitDiffusion(grid, 0.0, dt)).push(rho)
+        worst_advect = max(worst_advect, abs(advected.sum() - rho.sum()) / rho.sum())
+        diffuse = SplitStep(VectorField.zeros(grid), ImplicitDiffusion(grid, sigma, dt))
+        diffused = diffuse.advance(advected)
+        worst_diffuse = max(worst_diffuse, abs(diffused.sum() - rho.sum()) / rho.sum())
     elapsed = time.perf_counter() - start
     ok = worst_advect < 1e-12 and worst_diffuse < 1e-9 and elapsed < 30
     report(
@@ -283,7 +275,7 @@ def test_c09_volume_io(tmp_path):
         spacing = [
             float(np.float32(rng.uniform(0.1, 2.0))) for _ in range(ndim)
         ]
-        grid = build_grid(dims, spacing)
+        grid = CellGrid(dims, spacing)
         values = rng.standard_normal(grid.cell_count).astype(np.float32).astype(float)
         path = tmp_path / (f"v{trial}.nii.gz" if trial % 2 else f"v{trial}.nii")
         write_volume(path, grid, values)

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otflow import (
+from otflow.bundles import (
     ResampledTrack,
-    build_grid,
     cluster_label_volume,
     mdf_distance,
     quickbundles,
     resample_track,
     significant_clusters,
 )
+from otflow.grid import CellGrid
 from otflow.streamlines import Streamline
 
 from conftest import philox
@@ -187,7 +187,7 @@ class TestSignificantClusters:
 
 class TestLabelVolume:
     def test_largest_cluster_wins(self):
-        g = build_grid([10, 10], [1.0, 1.0])
+        g = CellGrid([10, 10], [1.0, 1.0])
         xs = np.linspace(0.5, 9.5, 12)
         big = [ResampledTrack(np.stack([xs, np.full(12, 2.5)], axis=1))] * 3
         small = [ResampledTrack(np.stack([xs, np.full(12, 2.5)], axis=1))]

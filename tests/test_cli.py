@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from otflow import ScalarField, TimeGrid, VelocitySeries, build_grid, gaussian_blob
+from otflow.forward import TimeGrid, VelocitySeries
+from otflow.grid import CellGrid, ScalarField
+from otflow.synth import add_noise, gaussian_blob
 from otflow.cli import main
 from otflow.dataio import read_streamlines_jsonl, read_volume, write_velocity_series, write_volume
 
@@ -21,12 +23,10 @@ def snapshot(root):
 
 
 def write_pair(tmp_path, n=12, shift_cells=1, noise=0.0):
-    grid = build_grid([n, n], [1 / n, 1 / n])
+    grid = CellGrid([n, n], [1 / n, 1 / n])
     rho0 = gaussian_blob(grid, (0.45, 0.5), 0.16, 1.0)
     rhoT = gaussian_blob(grid, (0.45 + shift_cells / n, 0.5), 0.16, 1.0)
     if noise:
-        from otflow import add_noise
-
         rhoT = add_noise(rhoT, noise * rho0.values.max(), 17)
     write_volume(tmp_path / "rho0.nii", grid, rho0)
     write_volume(tmp_path / "rhoT.nii", grid, rhoT)
@@ -98,6 +98,18 @@ class TestSolveCommand:
         assert not (tmp_path / "out").exists()
         assert "plan:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("baseline_mode", [False, True])
+    def test_negative_time_index_fails_dry_run(self, tmp_path, capsys, baseline_mode):
+        write_pair(tmp_path)
+        cfg = write_config(tmp_path, baseline_mode=baseline_mode)
+        doc = json.loads(cfg.read_text())
+        doc["observations"].append({"time_index": -1, "path": str(tmp_path / "rhoT.nii")})
+        cfg.write_text(json.dumps(doc))
+        assert run("solve", "--config", str(cfg), "--dry-run") == 1
+        assert "observations[2].time_index" in capsys.readouterr().err
+        assert run("solve", "--config", str(cfg)) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_baseline_mode(self, tmp_path):
         write_pair(tmp_path, shift_cells=1)
         cfg = write_config(tmp_path, baseline_mode=True, alpha=1.0)
@@ -109,7 +121,7 @@ class TestSolveCommand:
 
 def _channel_outputs(tmp_path, n=24):
     """Fabricated solve outputs: two seeded channels moving uniformly right."""
-    grid = build_grid([n, n], [1 / n, 1 / n])
+    grid = CellGrid([n, n], [1 / n, 1 / n])
     density = ScalarField(
         grid,
         gaussian_blob(grid, (0.15, 0.3), 0.06, 1.0).values
@@ -214,10 +226,21 @@ class TestSynthCommand:
         assert run("synth", str(path), "--out", str(tmp_path / "o")) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry-run"])
+    def test_spacing_length_mismatch_fails_before_writing(self, tmp_path, capsys, dry_run):
+        doc = json.loads(self._spec(tmp_path).read_text())
+        doc["spacing"] = doc["spacing"][:1]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "synth"
+        assert run("synth", str(path), "--out", str(out), *dry_run) == 1
+        assert "'spacing'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompareCommand:
     def test_identical_volumes(self, tmp_path, capsys):
-        grid = build_grid([6, 6], [1 / 6, 1 / 6])
+        grid = CellGrid([6, 6], [1 / 6, 1 / 6])
         f = gaussian_blob(grid, (0.5, 0.5), 0.2, 1.0)
         write_volume(tmp_path / "a.nii", grid, f)
         write_volume(tmp_path / "b.nii", grid, f)
@@ -231,7 +254,7 @@ class TestCompareCommand:
         assert values["inf_norm"] == 0.0
 
     def test_constant_offset_closed_form(self, tmp_path):
-        grid = build_grid([10], [1.0])
+        grid = CellGrid([10], [1.0])
         write_volume(tmp_path / "a.nii", grid, np.zeros(10))
         write_volume(tmp_path / "b.nii", grid, np.full(10, 0.1))
         csv_path = tmp_path / "report.csv"
@@ -243,13 +266,13 @@ class TestCompareCommand:
         assert values["inf_norm"] == pytest.approx(0.1, rel=1e-6)
 
     def test_grid_mismatch_exit_1(self, tmp_path, capsys):
-        write_volume(tmp_path / "a.nii", build_grid([4], [1.0]), np.zeros(4))
-        write_volume(tmp_path / "b.nii", build_grid([4], [0.5]), np.zeros(4))
+        write_volume(tmp_path / "a.nii", CellGrid([4], [1.0]), np.zeros(4))
+        write_volume(tmp_path / "b.nii", CellGrid([4], [0.5]), np.zeros(4))
         assert run("compare", str(tmp_path / "a.nii"), str(tmp_path / "b.nii")) == 1
         assert "error" in capsys.readouterr().err
 
     def test_series_directories_report_rmse(self, tmp_path):
-        grid = build_grid([5, 5], [0.2, 0.2])
+        grid = CellGrid([5, 5], [0.2, 0.2])
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         a_dir.mkdir(), b_dir.mkdir()
         base = gaussian_blob(grid, (0.5, 0.5), 0.2, 1.0)

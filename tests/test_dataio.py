@@ -8,17 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otflow import (
+from otflow.errors import (
     BadMagicError,
     ConfigError,
     HeaderError,
-    ScalarField,
-    TimeGrid,
     TruncatedDataError,
     UnsupportedDatatypeError,
-    VelocitySeries,
-    build_grid,
 )
+from otflow.forward import TimeGrid, VelocitySeries
+from otflow.grid import CellGrid, ScalarField
 from otflow.dataio import (
     RunConfig,
     read_config,
@@ -42,7 +40,7 @@ def f4(values):
 
 
 def make_volume(seed, dims, spacing):
-    grid = build_grid(dims, spacing)
+    grid = CellGrid(dims, spacing)
     vals = f4(philox(seed).standard_normal(grid.cell_count))
     return grid, ScalarField(grid, vals)
 
@@ -105,7 +103,7 @@ class TestVolumeRoundTrip:
         assert raw[344:347] == b"n+1"
 
     def test_pathway_counts_exact(self, tmp_path):
-        grid = build_grid([8, 8], [1.0, 1.0])
+        grid = CellGrid([8, 8], [1.0, 1.0])
         counts = philox(12).integers(0, 2**20, grid.cell_count).astype(float)
         path = tmp_path / "counts.nii"
         write_volume(path, grid, counts)
@@ -192,7 +190,7 @@ class TestHandCraftedAndMalformed:
 
 class TestVelocitySeries:
     def test_file_count_and_manifest(self, tmp_path):
-        grid = build_grid([4, 3], [0.25, 0.5])
+        grid = CellGrid([4, 3], [0.25, 0.5])
         tg = TimeGrid.unit_horizon(1)
         v = VelocitySeries(grid, tg, f4(philox(13).standard_normal((1, 2, 12))))
         prefix = tmp_path / "velocity"
@@ -206,7 +204,7 @@ class TestVelocitySeries:
         assert manifest["components"] == 2
 
     def test_round_trip(self, tmp_path):
-        grid = build_grid([5, 4], [0.5, 0.25])
+        grid = CellGrid([5, 4], [0.5, 0.25])
         tg = TimeGrid.unit_horizon(3)
         v = VelocitySeries(grid, tg, f4(philox(14).standard_normal((3, 2, 20))))
         prefix = tmp_path / "velocity"
@@ -364,21 +362,58 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             read_config(path)
 
+    @pytest.mark.parametrize("time_index", [-1, -4])
+    def test_negative_time_index_names_path(self, tmp_path, time_index):
+        doc = json.loads(json.dumps(MINIMAL_CONFIG))
+        doc["observations"].append({"time_index": time_index, "path": "rhoM.nii"})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=re.escape("observations[2].time_index")) as info:
+            read_config(path)
+        assert info.value.key == "observations[2].time_index"
+
+
+SPEC = {
+    "dims": [16, 16], "spacing": [0.0625, 0.0625],
+    "blobs": [{"center": [0.4, 0.5], "width": 0.1, "mass": 2.0}],
+    "velocity": {"kind": "constant", "value": [0.1, 0.0]},
+    "noise_std": 0.01, "rng_seed": 5,
+}
+
 
 class TestSynthSpecFile:
     def test_read_spec(self, tmp_path):
-        doc = {
-            "dims": [16, 16], "spacing": [0.0625, 0.0625],
-            "blobs": [{"center": [0.4, 0.5], "width": 0.1, "mass": 2.0}],
-            "velocity": {"kind": "constant", "value": [0.1, 0.0]},
-            "noise_std": 0.01, "rng_seed": 5,
-        }
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(SPEC))
         spec = read_synth_spec(path)
         assert spec.total_mass() == 2.0
         assert spec.velocity.kind == "constant"
         assert spec.observe_times == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"blobs": 5}, "blobs"),
+            ({"spacing": [0.0625]}, "spacing"),
+            ({"blobs": [{"center": [0.4, 0.5, 0.5], "width": 0.1, "mass": 2.0}]},
+             "blobs[0].center"),
+            ({"velocity": {"kind": "constant", "value": [0.1]}}, "velocity.value"),
+            ({"velocity": {"kind": "rotation", "center": [0.5], "rate": 1.0}},
+             "velocity.center"),
+            ({"dims": [16], "spacing": [0.0625],
+              "blobs": [{"center": [0.4], "width": 0.1, "mass": 2.0}],
+              "velocity": {"kind": "rotation", "center": [0.5], "rate": 1.0}},
+             "velocity.kind"),
+        ],
+        ids=["blobs-not-a-list", "spacing-length", "blob-center-length",
+             "velocity-value-length", "velocity-center-length", "rotation-in-1d"],
+    )
+    def test_malformed_spec_names_key(self, tmp_path, change, key):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(SPEC, **change)))
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}'")) as info:
+            read_synth_spec(path)
+        assert info.value.key == key
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "spec.json"

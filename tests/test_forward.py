@@ -3,28 +3,28 @@ import types
 import numpy as np
 import pytest
 
-from otflow import (
-    Blob,
+from otflow.forward import (
     DensitySeries,
     ImplicitDiffusion,
-    ScalarField,
-    SynthSpec,
+    SplitStep,
     TimeGrid,
-    VectorField,
-    VelocityModel,
     VelocitySeries,
-    advect_step,
-    analytic_evolution,
-    assemble_diffusion_operator,
-    build_grid,
-    diffuse_step,
-    initial_density,
+    forward_frames,
+    linearized_sweep,
     simulate,
+)
+from otflow.grid import CellGrid, ScalarField, VectorField
+from otflow.synth import (
+    Blob,
+    SynthSpec,
+    VelocityModel,
+    analytic_evolution,
+    initial_density,
     true_velocity_series,
 )
 
-from otflow.forward import SplitStep, forward_frames, linearized_sweep
 
+from oracles import assemble_diffusion_operator
 from conftest import gradient_check_instance, philox, smooth_velocity
 
 
@@ -47,7 +47,7 @@ class TestTimeGrid:
             TimeGrid(2, -0.1)
 
     def test_series_shape_checks(self):
-        g = build_grid([4], [1.0])
+        g = CellGrid([4], [1.0])
         tg = TimeGrid.unit_horizon(2)
         with pytest.raises(ValueError):
             DensitySeries(g, tg, np.zeros((2, 4)))  # needs steps+1 frames
@@ -57,36 +57,39 @@ class TestTimeGrid:
 
 class TestAdvectStep:
     def test_zero_velocity_identity(self, grid_2d):
-        rho = ScalarField(grid_2d, philox(0).uniform(0, 1, grid_2d.cell_count))
-        out = advect_step(rho, VectorField.zeros(grid_2d), 0.25)
-        np.testing.assert_allclose(out.values, rho.values)
+        rho = philox(0).uniform(0, 1, grid_2d.cell_count)
+        step = SplitStep(VectorField.zeros(grid_2d), ImplicitDiffusion(grid_2d, 0.0, 0.25))
+        out = step.push(rho)
+        np.testing.assert_allclose(out, rho)
 
     def test_1d_hand_deposit(self):
-        g = build_grid([4], [1.0])
-        rho = ScalarField(g, [0.0, 1.0, 0.0, 0.0])
-        out = advect_step(rho, VectorField.constant(g, [0.5]), 1.0)
-        np.testing.assert_allclose(out.values, [0, 0.5, 0.5, 0])
+        g = CellGrid([4], [1.0])
+        step = SplitStep(VectorField.constant(g, [0.5]), ImplicitDiffusion(g, 0.0, 1.0))
+        out = step.push(np.array([0.0, 1.0, 0.0, 0.0]))
+        np.testing.assert_allclose(out, [0, 0.5, 0.5, 0])
 
     def test_mass_conserved_random_velocity(self):
-        g = build_grid([12, 10], [0.1, 0.1])
-        rho = ScalarField(g, philox(4).uniform(0, 1, g.cell_count))
+        g = CellGrid([12, 10], [0.1, 0.1])
+        rho = philox(4).uniform(0, 1, g.cell_count)
         for seed in range(5):
             v = VectorField(g, smooth_velocity(g, seed, scale=0.2))
-            out = advect_step(rho, v, 0.25)
-            assert out.total_mass() == pytest.approx(rho.total_mass(), rel=1e-13)
-            assert out.values.min() >= 0.0
+            out = SplitStep(v, ImplicitDiffusion(g, 0.0, 0.25)).push(rho)
+            assert out.sum() == pytest.approx(rho.sum(), rel=1e-13)
+            assert out.min() >= 0.0
 
     def test_rejects_negative_density(self, grid_2d):
         rho = ScalarField(grid_2d, np.full(grid_2d.cell_count, -1.0))
-        with pytest.raises(ValueError):
-            advect_step(rho, VectorField.zeros(grid_2d), 0.1)
+        v = VelocitySeries.zeros(grid_2d, TimeGrid(1, 0.1))
+        with pytest.raises(ValueError, match="initial density must be nonnegative"):
+            simulate(v, rho, 0.0)
 
 
 class TestDiffuseStep:
     def test_sigma_zero_identity(self, grid_2d):
-        rho = ScalarField(grid_2d, philox(1).uniform(0, 1, grid_2d.cell_count))
-        out = diffuse_step(rho, 0.0, 0.25)
-        np.testing.assert_allclose(out.values, rho.values)
+        rho = philox(1).uniform(0, 1, grid_2d.cell_count)
+        step = SplitStep(VectorField.zeros(grid_2d), ImplicitDiffusion(grid_2d, 0.0, 0.25))
+        out = step.advance(rho)
+        np.testing.assert_allclose(out, rho)
 
     @pytest.mark.parametrize(
         "dims, spacing",
@@ -100,7 +103,7 @@ class TestDiffuseStep:
     )
     def test_3cell_direct_elimination_oracle(self, dims, spacing):
         # oracle: dense solve of (I - dt A) x = b with the assembled operator
-        g = build_grid(list(dims), list(spacing))
+        g = CellGrid(list(dims), list(spacing))
         sigma, dt = 1.0, 0.5
         A = assemble_diffusion_operator(g, sigma).toarray()
         solver = ImplicitDiffusion(g, sigma, dt)
@@ -112,22 +115,23 @@ class TestDiffuseStep:
 
     def test_3cell_hand_elimination(self):
         # (I - A) rho = [0, 1, 0] with sigma = h = dt = 1, eliminated by hand
-        g = build_grid([3], [1.0])
-        out = diffuse_step(ScalarField(g, [0.0, 1.0, 0.0]), 1.0, 1.0)
-        np.testing.assert_allclose(out.values, [0.25, 0.5, 0.25], rtol=1e-10)
+        g = CellGrid([3], [1.0])
+        step = SplitStep(VectorField.zeros(g), ImplicitDiffusion(g, 1.0, 1.0))
+        out = step.advance(np.array([0.0, 1.0, 0.0]))
+        np.testing.assert_allclose(out, [0.25, 0.5, 0.25], rtol=1e-10)
 
     def test_mass_conserved(self):
-        g = build_grid([10, 10], [0.1, 0.1])
+        g = CellGrid([10, 10], [0.1, 0.1])
         for seed in range(5):
-            rho = ScalarField(g, philox(seed).uniform(0, 1, g.cell_count))
-            out = diffuse_step(rho, 0.3, 0.25)
-            assert out.total_mass() == pytest.approx(rho.total_mass(), rel=1e-10)
-            assert out.values.min() >= 0.0
+            rho = philox(seed).uniform(0, 1, g.cell_count)
+            out = SplitStep(VectorField.zeros(g), ImplicitDiffusion(g, 0.3, 0.25)).advance(rho)
+            assert out.sum() == pytest.approx(rho.sum(), rel=1e-10)
+            assert out.min() >= 0.0
 
 
 class TestForward:
     def test_identity_dynamics(self):
-        g = build_grid([6, 6], [1 / 6, 1 / 6])
+        g = CellGrid([6, 6], [1 / 6, 1 / 6])
         tg = TimeGrid.unit_horizon(3)
         rho0 = ScalarField(g, philox(3).uniform(0, 1, g.cell_count))
         out = simulate(VelocitySeries.zeros(g, tg), rho0, 0.0)
@@ -148,7 +152,7 @@ class TestForward:
         assert rel < 0.05
 
     def test_mass_conserved_with_diffusion(self):
-        g = build_grid([12, 12], [1 / 12, 1 / 12])
+        g = CellGrid([12, 12], [1 / 12, 1 / 12])
         tg = TimeGrid.unit_horizon(4)
         rho0 = ScalarField(g, philox(8).uniform(0, 1, g.cell_count))
         for seed in range(3):
@@ -161,7 +165,7 @@ class TestForward:
             assert out.values.min() >= 0.0
 
     def test_bitwise_deterministic(self):
-        g = build_grid([10, 10], [0.1, 0.1])
+        g = CellGrid([10, 10], [0.1, 0.1])
         tg = TimeGrid.unit_horizon(3)
         rho0 = ScalarField(g, philox(5).uniform(0, 1, g.cell_count))
         v = VelocitySeries(g, tg, np.stack([smooth_velocity(g, n, 0.1) for n in range(3)]))
@@ -177,7 +181,7 @@ class TestSplitStep:
         ids=["2d", "3d"],
     )
     def test_dot_product_identities(self, dims, spacing):
-        g = build_grid(list(dims), list(spacing))
+        g = CellGrid(list(dims), list(spacing))
         rng = philox(21)
         dt = 0.25
         v = VectorField(g, smooth_velocity(g, 3, scale=0.3))

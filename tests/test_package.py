@@ -1,0 +1,24 @@
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import otflow
+
+MODULES = sorted(
+    f"otflow.{p.stem}" for p in Path(otflow.__file__).parent.glob("*.py")
+    if not p.stem.startswith("__")
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_readme_layout_lists_every_module():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    assert sorted(re.findall(r"^\| `(otflow\.\w+)` \|", section, flags=re.M)) == MODULES

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from otflow import (
-    GridMismatchError,
-    ObservationEntry,
-    ObservationSet,
-    ScalarField,
-    SolverConfig,
+from otflow.errors import GridMismatchError
+from otflow.forward import (
+    DensitySeries,
+    ImplicitDiffusion,
     TimeGrid,
     VelocitySeries,
-    add_noise,
-    build_grid,
-    finite_difference_gradient,
-    gaussian_blob,
+    forward_frames,
+)
+from otflow.grid import CellGrid, ScalarField
+from otflow.solver import (
+    ObservationEntry,
+    ObservationSet,
+    SolverConfig,
+    _gn_hessian_apply,
     gradient,
     objective,
     registration_errors,
@@ -20,9 +22,9 @@ from otflow import (
     solve,
     solve_baseline,
 )
-from otflow.forward import DensitySeries, ImplicitDiffusion, forward_frames
-from otflow.solver import _gn_hessian_apply
+from otflow.synth import add_noise, gaussian_blob
 
+from oracles import finite_difference_gradient
 from conftest import gradient_check_instance, philox, translating_pair
 
 
@@ -64,7 +66,7 @@ class TestSolverConfig:
 
 class TestObjective:
     def test_perfect_fit_is_zero(self):
-        g = build_grid([6, 6], [1 / 6, 1 / 6])
+        g = CellGrid([6, 6], [1 / 6, 1 / 6])
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.15, 1.0)
         cfg = SolverConfig(sigma=0.0, alpha=1.0, time_steps=2)
         v = VelocitySeries.zeros(g, TimeGrid.unit_horizon(2))
@@ -72,7 +74,7 @@ class TestObjective:
         assert val.total == 0.0
 
     def test_constant_offset_misfit(self):
-        g = build_grid([5, 4], [0.3, 0.3])
+        g = CellGrid([5, 4], [0.3, 0.3])
         rho0 = ScalarField(g, np.full(g.cell_count, 0.5))
         c, alpha = 0.2, 3.0
         shifted = ScalarField(g, rho0.values + c)
@@ -85,7 +87,7 @@ class TestObjective:
 
     def test_tiny_energy_hand_value(self):
         # unit spacing, one unit step, uniform speed 0.5 over unit total mass
-        g = build_grid([4], [1.0])
+        g = CellGrid([4], [1.0])
         rho0 = ScalarField(g, [0.0, 1.0, 0.0, 0.0])
         tg = TimeGrid(1, 1.0)
         v = VelocitySeries(g, tg, np.full((1, 1, 4), 0.5))
@@ -98,7 +100,7 @@ class TestObjective:
 
 class TestGradient:
     def test_zero_at_global_minimum(self):
-        g = build_grid([6, 6], [1 / 6, 1 / 6])
+        g = CellGrid([6, 6], [1 / 6, 1 / 6])
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.15, 1.0)
         cfg = SolverConfig(sigma=0.0, alpha=1.0, time_steps=2)
         v = VelocitySeries.zeros(g, TimeGrid.unit_horizon(2))
@@ -149,7 +151,7 @@ class TestGaussNewtonProduct:
 
 class TestSolve:
     def test_identical_endpoints_trivial(self):
-        g = build_grid([8, 8], [1 / 8, 1 / 8])
+        g = CellGrid([8, 8], [1 / 8, 1 / 8])
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.15, 1.0)
         cfg = SolverConfig(sigma=0.0, alpha=1.0, time_steps=3)
         res = solve(rho0, _pair_obs(rho0, rho0, 3, 1.0), cfg)
@@ -203,7 +205,7 @@ class TestSolve:
         assert res.termination == "max_iters"
 
     def test_rejects_observation_past_horizon(self):
-        g = build_grid([4, 4], [0.25, 0.25])
+        g = CellGrid([4, 4], [0.25, 0.25])
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.2, 1.0)
         cfg = SolverConfig(time_steps=2)
         with pytest.raises(ValueError):
@@ -212,7 +214,7 @@ class TestSolve:
 
 class TestBaseline:
     def test_identical_normalized_endpoints(self):
-        g = build_grid([8, 8], [1 / 8, 1 / 8])
+        g = CellGrid([8, 8], [1 / 8, 1 / 8])
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.15, 1.0)
         doubled = ScalarField(g, 2.0 * rho0.values)  # same shape, double mass
         cfg = SolverConfig(sigma=0.1, alpha=1.0, time_steps=3)
@@ -221,7 +223,7 @@ class TestBaseline:
         assert res.diagnostics[-1].phi == 0.0
 
     def test_normalization_contract(self):
-        g = build_grid([8, 8], [1 / 8, 1 / 8])
+        g = CellGrid([8, 8], [1 / 8, 1 / 8])
         rho0 = gaussian_blob(g, (0.4, 0.5), 0.15, 2.5)
         target = gaussian_blob(g, (0.6, 0.5), 0.15, 0.7)
         cfg = SolverConfig(alpha=1.0, time_steps=2, max_gn_iters=2)
@@ -243,7 +245,7 @@ class TestMetrics:
         assert registration_errors(f, f) == (0.0, 0.0)
 
     def test_registration_constant_offset(self):
-        g = build_grid([10], [1.0])
+        g = CellGrid([10], [1.0])
         a = ScalarField(g, np.zeros(10))
         b = ScalarField(g, np.full(10, 0.1))
         mse, inf = registration_errors(a, b)
@@ -263,13 +265,13 @@ class TestMetrics:
         assert inf == pytest.approx(biggest, rel=1e-12)
 
     def test_registration_grid_mismatch(self):
-        a = ScalarField(build_grid([4], [1.0]), np.zeros(4))
-        b = ScalarField(build_grid([4], [0.5]), np.zeros(4))
+        a = ScalarField(CellGrid([4], [1.0]), np.zeros(4))
+        b = ScalarField(CellGrid([4], [0.5]), np.zeros(4))
         with pytest.raises(GridMismatchError):
             registration_errors(a, b)
 
     def test_rmse_series(self):
-        g = build_grid([6], [1.0])
+        g = CellGrid([6], [1.0])
         tg = TimeGrid.unit_horizon(3)
         rng = philox(2)
         base = rng.uniform(0, 1, (4, 6))

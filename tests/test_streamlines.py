@@ -1,23 +1,17 @@
 import numpy as np
 import pytest
 
-from otflow import (
-    Blob,
-    EmptySeedsError,
-    OutsideDomainError,
-    ScalarField,
-    SynthSpec,
-    TimeGrid,
-    VelocityModel,
-    VelocitySeries,
-    build_grid,
+from otflow.errors import EmptySeedsError, OutsideDomainError
+from otflow.forward import TimeGrid, VelocitySeries
+from otflow.grid import CellGrid, ScalarField, interpolate_components
+from otflow.streamlines import (
+    STAGNATION_SPEED,
+    Streamline,
     pathway_density,
     seed_points,
     trace_streamlines,
-    true_velocity_series,
 )
-from otflow.grid import interpolate_components
-from otflow.streamlines import STAGNATION_SPEED, Streamline
+from otflow.synth import Blob, SynthSpec, VelocityModel, true_velocity_series
 
 from conftest import philox, smooth_velocity
 
@@ -42,20 +36,20 @@ def _constant_series(value, steps=1, n=32):
 
 class TestSeedPoints:
     def test_uniform_density_seeds_everything(self):
-        g = build_grid([5, 4], [0.2, 0.2])
+        g = CellGrid([5, 4], [0.2, 0.2])
         density = ScalarField(g, np.full(g.cell_count, 0.3))
         seeds = seed_points(density, 0.5)
         assert len(seeds) == g.cell_count
 
     def test_sparse_support_recovered(self):
-        g = build_grid([10], [1.0])
+        g = CellGrid([10], [1.0])
         vals = np.zeros(10)
         vals[[2, 5, 7]] = [1.0, 2.0, 3.0]
         seeds = seed_points(ScalarField(g, vals), 0.01)
         np.testing.assert_allclose(seeds.ravel(), [2.5, 5.5, 7.5])
 
     def test_matches_sorting_oracle(self):
-        g = build_grid([20, 20], [0.05, 0.05])
+        g = CellGrid([20, 20], [0.05, 0.05])
         vals = philox(6).uniform(0, 1, g.cell_count)
         vals[vals < 0.3] = 0.0
         q = 0.8
@@ -67,12 +61,12 @@ class TestSeedPoints:
         assert len(seeds) == expect
 
     def test_empty_density_raises(self):
-        g = build_grid([4], [1.0])
+        g = CellGrid([4], [1.0])
         with pytest.raises(EmptySeedsError):
             seed_points(ScalarField(g, np.zeros(4)), 0.5)
 
     def test_quantile_range_validated(self):
-        g = build_grid([4], [1.0])
+        g = CellGrid([4], [1.0])
         f = ScalarField(g, np.ones(4))
         with pytest.raises(ValueError):
             seed_points(f, 1.0)
@@ -141,7 +135,7 @@ def _reference_trace(v, seed, step_size, max_steps):
     """The one-seed-at-a-time RK4 loop that the batched tracer replaced."""
     grid = v.grid
     seed = np.asarray(seed, dtype=float)
-    if not grid.contains(seed):
+    if not grid.contains_points(seed[None, :])[0]:
         raise OutsideDomainError(f"seed {seed.tolist()} is outside the domain")
     if step_size <= 0:
         raise ValueError(f"step size must be positive, got {step_size}")
@@ -165,7 +159,7 @@ def _reference_trace(v, seed, step_size, max_steps):
             k3 = _sample_clamped(grid, comp, x + 0.5 * h * k2)
             k4 = _sample_clamped(grid, comp, x + h * k3)
             y = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not grid.contains(y):
+            if not grid.contains_points(y[None, :])[0]:
                 return Streamline(seed, np.array(points), step_size)
             x = y
             points.append(x.copy())
@@ -185,7 +179,7 @@ def _halting_series(ndim):
     """Random smooth flow over 3 intervals, still for x_0 < 0.3, swept out
     through the x_0 = 1 wall for x_0 > 0.75."""
     n = 16 if ndim == 2 else 10
-    grid = build_grid([n] * ndim, [1 / n] * ndim)
+    grid = CellGrid([n] * ndim, [1 / n] * ndim)
     x0 = grid.cell_centers()[:, 0]
     frames = []
     for i in range(3):
@@ -245,26 +239,26 @@ class TestTraceStreamlines:
 
 class TestPathwayDensity:
     def test_single_cell_streamline(self):
-        g = build_grid([4, 4], [1.0, 1.0])
+        g = CellGrid([4, 4], [1.0, 1.0])
         sl = Streamline([0.5, 0.5], [[0.5, 0.5], [0.6, 0.6]], 0.1)
         pm = pathway_density([sl], g)
         assert pm.counts[0] == 1
         assert pm.counts.sum() == 1
 
     def test_duplicate_streamlines_count_twice(self):
-        g = build_grid([6, 1], [1.0, 1.0])
+        g = CellGrid([6, 1], [1.0, 1.0])
         pts = [[0.5, 0.5], [2.5, 0.5], [4.5, 0.5]]
         pm = pathway_density([Streamline(pts[0], pts, 0.1)] * 2, g)
         assert pm.counts[g.cells_of_points(np.array(pts))].tolist() == [2, 2, 2]
 
     def test_streamline_touches_cell_once(self):
-        g = build_grid([4], [1.0])
+        g = CellGrid([4], [1.0])
         pts = [[0.2], [0.4], [0.6], [1.5]]  # three points share cell 0
         pm = pathway_density([Streamline(pts[0], pts, 0.1)], g)
         assert pm.counts.tolist() == [1, 1, 0, 0]
 
     def test_permutation_invariant_and_matches_bruteforce(self):
-        g = build_grid([8, 8], [0.5, 0.5])
+        g = CellGrid([8, 8], [0.5, 0.5])
         rng = philox(13)
         lines = []
         for _ in range(12):

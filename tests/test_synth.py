@@ -1,23 +1,21 @@
 import numpy as np
 import pytest
 
-from otflow import (
+from otflow.forward import TimeGrid, VelocitySeries
+from otflow.grid import CellGrid, ScalarField
+from otflow.synth import (
     Blob,
     SynthSpec,
-    TimeGrid,
     VelocityModel,
-    VelocitySeries,
     add_noise,
     analytic_evolution,
-    build_grid,
-    finite_difference_gradient,
     gaussian_blob,
     initial_density,
     true_density,
     true_velocity_series,
 )
-from otflow.grid import ScalarField
 
+from oracles import finite_difference_gradient
 from conftest import philox
 
 
@@ -32,24 +30,24 @@ def _constant_spec(sigma=0.0, v=(0.2, 0.1), n=64, width=0.1):
 
 class TestGaussianBlob:
     def test_mass_exact(self):
-        g = build_grid([32, 32], [1 / 32, 1 / 32])
+        g = CellGrid([32, 32], [1 / 32, 1 / 32])
         f = gaussian_blob(g, (0.4, 0.6), 0.1, 3.7)
         assert f.total_mass() == pytest.approx(3.7, rel=1e-12)
 
     def test_argmax_at_center_cell(self):
-        g = build_grid([32, 32], [1 / 32, 1 / 32])
+        g = CellGrid([32, 32], [1 / 32, 1 / 32])
         center = (0.40, 0.59)
         f = gaussian_blob(g, center, 0.08, 1.0)
         assert f.values.argmax() == g.cells_of_points(np.array([center]))[0]
 
     def test_axis_reflection_symmetry(self):
-        g = build_grid([16, 16], [1 / 16, 1 / 16])
+        g = CellGrid([16, 16], [1 / 16, 1 / 16])
         f = gaussian_blob(g, (0.5, 0.5), 0.12, 1.0).as_grid_array()
         np.testing.assert_allclose(f, f[::-1, :], rtol=1e-12)
         np.testing.assert_allclose(f, f[:, ::-1], rtol=1e-12)
 
     def test_validates_width_and_mass(self):
-        g = build_grid([8], [1.0])
+        g = CellGrid([8], [1.0])
         with pytest.raises(ValueError):
             gaussian_blob(g, (4.0,), 0.0, 1.0)
         with pytest.raises(ValueError):
@@ -161,7 +159,7 @@ class TestAddNoise:
         )
 
     def test_variance_within_one_percent(self):
-        g = build_grid([100, 100, 100], [1.0, 1.0, 1.0])
+        g = CellGrid([100, 100, 100], [1.0, 1.0, 1.0])
         base = ScalarField(g, np.full(g.cell_count, 100.0))  # no clamping
         std = 0.7
         out = add_noise(base, std, 11)
@@ -169,7 +167,7 @@ class TestAddNoise:
         assert delta.var() == pytest.approx(std**2, rel=0.01)
 
     def test_clamped_at_zero(self):
-        g = build_grid([50, 50], [1.0, 1.0])
+        g = CellGrid([50, 50], [1.0, 1.0])
         out = add_noise(ScalarField(g, np.zeros(g.cell_count)), 1.0, 3)
         assert out.values.min() >= 0.0
         assert out.values.max() > 0.0
@@ -177,7 +175,7 @@ class TestAddNoise:
 
 class TestFiniteDifferenceGradient:
     def test_quadratic_exact(self):
-        g = build_grid([4, 4], [0.25, 0.25])
+        g = CellGrid([4, 4], [0.25, 0.25])
         tg = TimeGrid.unit_horizon(2)
         rng = philox(17)
         v = VelocitySeries(g, tg, rng.standard_normal((2, 2, 16)))
@@ -187,14 +185,14 @@ class TestFiniteDifferenceGradient:
         assert got == pytest.approx(2.0 * float((v.values * dv.values).sum()), rel=1e-9)
 
     def test_constant_functional_zero(self):
-        g = build_grid([4], [0.25])
+        g = CellGrid([4], [0.25])
         tg = TimeGrid.unit_horizon(1)
         v = VelocitySeries.zeros(g, tg)
         dv = VelocitySeries(g, tg, np.ones((1, 1, 4)))
         assert finite_difference_gradient(lambda w: 3.5, v, dv, 1e-5) == 0.0
 
     def test_eps_validated(self):
-        g = build_grid([4], [0.25])
+        g = CellGrid([4], [0.25])
         v = VelocitySeries.zeros(g, TimeGrid.unit_horizon(1))
         with pytest.raises(ValueError):
             finite_difference_gradient(lambda w: 0.0, v, v, 0.0)
