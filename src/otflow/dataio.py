@@ -363,6 +363,13 @@ def _typecheck(value, types, key: str):
     return value
 
 
+def _typed_list(value, types, key: str) -> tuple:
+    """A JSON list whose entries each pass `_typecheck`, as a tuple."""
+    if not isinstance(value, list):
+        raise ConfigError(f"key {key!r} must be a list", key)
+    return tuple(_typecheck(x, types, key) for x in value)
+
+
 def _typenames(types) -> str:
     return "/".join("null" if t is type(None) else t.__name__ for t in types)
 
@@ -456,14 +463,19 @@ def read_synth_spec(path) -> SynthSpec:
             raise ConfigError(f"missing required key {key!r}", key)
     if not isinstance(doc["blobs"], list):
         raise ConfigError("'blobs' must be a list", "blobs")
+    number = (int, float)
     blobs = []
     for i, b in enumerate(doc["blobs"]):
         where = f"blobs[{i}]"
         if not isinstance(b, dict):
             raise ConfigError(f"{where} must be an object", where)
         try:
-            blobs.append(Blob(tuple(b["center"]), float(b["width"]), float(b["mass"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            blobs.append(Blob(
+                _typed_list(b["center"], number, f"{where}.center"),
+                float(_typecheck(b["width"], number, f"{where}.width")),
+                float(_typecheck(b["mass"], number, f"{where}.mass")),
+            ))
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}", where) from exc
     vel = doc["velocity"]
     if not isinstance(vel, dict) or "kind" not in vel:
@@ -471,19 +483,19 @@ def read_synth_spec(path) -> SynthSpec:
     try:
         model = VelocityModel(
             kind=vel["kind"],
-            value=tuple(vel["value"]) if "value" in vel else None,
-            center=tuple(vel["center"]) if "center" in vel else None,
-            rate=float(vel.get("rate", 0.0)),
+            value=_typed_list(vel["value"], number, "velocity.value") if "value" in vel else None,
+            center=_typed_list(vel["center"], number, "velocity.center") if "center" in vel else None,
+            rate=float(_typecheck(vel.get("rate", 0.0), number, "velocity.rate")),
         )
-        return SynthSpec(
-            dims=tuple(doc["dims"]),
-            spacing=tuple(doc["spacing"]),
-            blobs=tuple(blobs),
-            velocity=model,
-            sigma_true=float(doc.get("sigma_true", 0.0)),
-            noise_std=float(doc.get("noise_std", 0.0)),
-            rng_seed=int(doc.get("rng_seed", 0)),
-            observe_times=tuple(doc.get("observe_times", (0.0, 1.0))),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid synthetic spec: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"'velocity': {exc}", "velocity") from exc
+    return SynthSpec(
+        dims=_typed_list(doc["dims"], int, "dims"),
+        spacing=_typed_list(doc["spacing"], number, "spacing"),
+        blobs=tuple(blobs),
+        velocity=model,
+        sigma_true=float(_typecheck(doc.get("sigma_true", 0.0), number, "sigma_true")),
+        noise_std=float(_typecheck(doc.get("noise_std", 0.0), number, "noise_std")),
+        rng_seed=_typecheck(doc.get("rng_seed", 0), int, "rng_seed"),
+        observe_times=_typed_list(doc.get("observe_times", [0.0, 1.0]), number, "observe_times"),
+    )

@@ -130,10 +130,6 @@ class ScalarField:
     def total_mass(self) -> float:
         return float(self.values.sum())
 
-    def as_grid_array(self) -> np.ndarray:
-        """Values reshaped to the grid dims (axis 0 fastest)."""
-        return self.values.reshape(self.grid.dims, order="F")
-
 
 @dataclass(eq=False)
 class VectorField:

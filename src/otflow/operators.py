@@ -15,10 +15,14 @@ zeros. The transposes S^T and G_k^T are CSR views of the same arrays.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sparse
 
 from .grid import CellGrid, VectorField, _corner_cells, _fold_corners, _stencil
+
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 __all__ = [
     "advection_interp_matrix",
@@ -46,6 +50,9 @@ def _deposit_stencil(grid: CellGrid, v: VectorField, dt: float):
 def _deposit_family(grid: CellGrid, base: np.ndarray, data: list[np.ndarray]) -> list[sparse.csc_matrix]:
     """CSC matrices on the one deposit pattern, one per (2^d, cell_count) `data`,
     sharing one `indices` and one `indptr` array (see the module docstring)."""
+    # imported here: it is half of a cold start, and only the solves need it
+    import scipy.sparse as sparse
+
     s = grid.cell_count
     rows = _corner_cells(grid, base)
     # scipy's own choice; any other dtype makes each matrix cast a private copy

@@ -113,8 +113,14 @@ class SynthSpec:
             raise ConfigError("'sigma_true' must be nonnegative", "sigma_true")
         if self.noise_std < 0:
             raise ConfigError("'noise_std' must be nonnegative", "noise_std")
+        if self.rng_seed < 0:
+            raise ConfigError("'rng_seed' must be nonnegative", "rng_seed")
         if not self.blobs:
             raise ConfigError("need at least one blob", "blobs")
+        if not 1 <= len(self.dims) <= 3 or min(self.dims) < 1:
+            raise ConfigError("'dims' needs 1 to 3 positive cell counts", "dims")
+        if not all(0 < h < math.inf for h in self.spacing):
+            raise ConfigError("'spacing' entries must be positive and finite", "spacing")
         vectors = [("spacing", self.spacing), ("velocity.value", self.velocity.value),
                    ("velocity.center", self.velocity.center)]
         vectors += [(f"blobs[{i}].center", b.center) for i, b in enumerate(self.blobs)]

@@ -237,6 +237,13 @@ class TestSynthCommand:
         assert "'spacing'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dims_not_a_list_names_key_under_dry_run(self, tmp_path, capsys):
+        doc = dict(json.loads(self._spec(tmp_path).read_text()), dims=5)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert run("synth", str(path), "--out", str(tmp_path / "synth"), "--dry-run") == 1
+        assert "error: key 'dims' must be a list" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_identical_volumes(self, tmp_path, capsys):

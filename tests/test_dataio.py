@@ -404,9 +404,29 @@ class TestSynthSpecFile:
               "blobs": [{"center": [0.4], "width": 0.1, "mass": 2.0}],
               "velocity": {"kind": "rotation", "center": [0.5], "rate": 1.0}},
              "velocity.kind"),
+            ({"dims": 5}, "dims"),
+            ({"dims": [16, 0]}, "dims"),
+            ({"spacing": [0.0625, "x"]}, "spacing"),
+            ({"spacing": [0.0625, -0.0625]}, "spacing"),
+            ({"sigma_true": "abc"}, "sigma_true"),
+            ({"noise_std": [0.01]}, "noise_std"),
+            ({"rng_seed": 1.5}, "rng_seed"),
+            ({"rng_seed": -1}, "rng_seed"),
+            ({"observe_times": 1.0}, "observe_times"),
+            ({"velocity": {"kind": "rotation", "center": [0.5, 0.5], "rate": "x"}},
+             "velocity.rate"),
+            ({"velocity": {"kind": "swirl", "value": [0.1, 0.0]}}, "velocity"),
+            ({"blobs": [{"center": [0.4, 0.5], "width": True, "mass": 2.0}]},
+             "blobs[0].width"),
+            ({"blobs": [{"center": [0.4, 0.5], "width": 0.1, "mass": "2"}]},
+             "blobs[0].mass"),
         ],
         ids=["blobs-not-a-list", "spacing-length", "blob-center-length",
-             "velocity-value-length", "velocity-center-length", "rotation-in-1d"],
+             "velocity-value-length", "velocity-center-length", "rotation-in-1d",
+             "dims-not-a-list", "dims-zero", "spacing-not-numeric", "spacing-negative",
+             "sigma-true-not-numeric", "noise-std-not-numeric", "rng-seed-not-int",
+             "rng-seed-negative", "observe-times-not-a-list", "velocity-rate-not-numeric",
+             "velocity-kind-unknown", "blob-width-bool", "blob-mass-string"],
     )
     def test_malformed_spec_names_key(self, tmp_path, change, key):
         path = tmp_path / "spec.json"

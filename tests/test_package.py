@@ -1,5 +1,8 @@
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,3 +25,12 @@ def test_readme_layout_lists_every_module():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
     assert sorted(re.findall(r"^\| `(otflow\.\w+)` \|", section, flags=re.M)) == MODULES
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is imported where the deposit matrices are built, so `synth`,
+    # `fpa` and every `--dry-run` start without paying for it
+    src = str(Path(otflow.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import otflow.cli, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
