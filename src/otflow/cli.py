@@ -7,8 +7,9 @@ observations; `compare` reports registration errors between volumes or
 density series. Every subcommand validates its inputs under --dry-run
 without computing, and all outputs are byte-deterministic.
 
-Exit codes: 0 success, 1 input/validation/runtime failure, 2 solve finished
-without reaching its convergence tolerance (outputs still written).
+Exit codes: 0 success, 1 input/validation/runtime failure, 2 solve stopped
+at its iteration cap or on a failed line search, before reaching its
+convergence tolerance (outputs still written).
 """
 
 from __future__ import annotations
@@ -54,20 +55,16 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _load_observations(cfg: RunConfig):
-    grid = None
-    fields = {}
+def _load_observations(cfg: RunConfig) -> ObservationSet:
+    entries = []
     for ref in cfg.observations:
-        g, field = read_volume(ref.path)
-        if grid is None:
-            grid = g
-        elif g != grid:
+        grid, field = read_volume(ref.path)
+        if entries and grid != entries[0].observed.grid:
             raise GridMismatchError(
-                f"{ref.path} has grid {g.dims}, expected {grid.dims}"
+                f"{ref.path} has grid {grid}, expected {entries[0].observed.grid}"
             )
-        weight = np.full(grid.cell_count, ref.weight)
-        fields[ref.time_index] = (field, weight)
-    return grid, fields
+        entries.append(ObservationEntry(ref.time_index, field, ref.weight))
+    return ObservationSet(entries)
 
 
 def cmd_solve(args) -> int:
@@ -82,22 +79,15 @@ def cmd_solve(args) -> int:
             if not Path(ref.path).exists():
                 return _fail(f"observation volume not found: {ref.path}")
         return 0
-    grid, fields = _load_observations(cfg)
-    rho0 = fields[0][0]
+    obs = _load_observations(cfg)
     if cfg.baseline_mode:
-        final_index = max(fields)
-        result = solve_baseline(rho0, fields[final_index][0], cfg)
+        result = solve_baseline(obs.initial, obs.entries[-1].observed, cfg)
     else:
-        entries = [
-            ObservationEntry(idx, field, weight)
-            for idx, (field, weight) in sorted(fields.items())
-        ]
-        obs = ObservationSet(entries, alpha=cfg.alpha)
-        result = solve(rho0, obs, cfg)
+        result = solve(obs, cfg)
 
     out.mkdir(parents=True, exist_ok=True)
     for n in range(cfg.time_steps + 1):
-        write_volume(out / f"clean_t{n}.nii", grid, result.densities.values[n])
+        write_volume(out / f"clean_t{n}.nii", obs.grid, result.densities.values[n])
     write_velocity_series(out / "velocity", result.velocity)
     (out / "diagnostics.csv").write_text(result.diagnostics_csv())
     (out / "resolved_config.json").write_text(cfg.to_json())
@@ -246,10 +236,8 @@ def cmd_compare(args) -> int:
         if not args.config:
             return _fail("--baseline needs --config to locate the observations")
         cfg = read_config(args.config)
-        _, fields = _load_observations(cfg)
-        rho0 = fields[0][0]
-        target_obs = fields[max(fields)][0]
-        baseline = solve_baseline(rho0, target_obs, cfg)
+        obs = _load_observations(cfg)
+        baseline = solve_baseline(obs.initial, obs.entries[-1].observed, cfg)
         final = baseline.densities.frame(baseline.densities.time_grid.steps)
         b_mse, b_inf = registration_errors(final, final_b)
         rows.append(("baseline", "mse", "", b_mse))

@@ -228,9 +228,19 @@ def write_velocity_series(path_prefix, v: VelocitySeries) -> None:
 
 def read_velocity_series(path_prefix) -> VelocitySeries:
     prefix = Path(path_prefix)
-    manifest = json.loads(Path(f"{prefix}_manifest.json").read_text())
-    grid = CellGrid(tuple(manifest["dims"]), tuple(manifest["spacing"]))
-    time_grid = TimeGrid(int(manifest["time_steps"]), float(manifest["dt"]))
+    path = f"{prefix}_manifest.json"
+    manifest = _load_json_object(path, "velocity manifest")
+    for key in ("time_steps", "dt", "dims", "spacing"):
+        if key not in manifest:
+            raise ConfigError(f"{path}: missing key {key!r}", key)
+    grid = CellGrid(
+        _typed_list(manifest["dims"], int, "dims"),
+        _typed_list(manifest["spacing"], (int, float), "spacing"),
+    )
+    time_grid = TimeGrid(
+        _typecheck(manifest["time_steps"], int, "time_steps"),
+        float(_typecheck(manifest["dt"], (int, float), "dt")),
+    )
     values = np.empty((time_grid.steps, grid.ndim, grid.cell_count))
     for n in range(time_grid.steps):
         for k in range(grid.ndim):
@@ -360,6 +370,9 @@ def _typecheck(value, types, key: str):
     # bool is an int subclass; only accept it where bool is explicitly listed
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise ConfigError(f"key {key!r} has wrong type (expected {_typenames(types)})", key)
+    # json parses NaN, Infinity and overflowing literals such as 1e400
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"key {key!r} must be finite, got {value!r}", key)
     return value
 
 

@@ -186,7 +186,7 @@ class SplitStep:
 
     @cached_property
     def S(self):
-        return advection_interp_matrix(self.v.grid, self.v, self.diffusion.dt)
+        return advection_interp_matrix(self.v, self.diffusion.dt)
 
     @cached_property
     def S_T(self):
@@ -194,7 +194,7 @@ class SplitStep:
 
     @cached_property
     def G(self):
-        return advection_weight_gradients(self.v.grid, self.v, self.diffusion.dt)
+        return advection_weight_gradients(self.v, self.diffusion.dt)
 
     @cached_property
     def G_T(self):

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-def _deposit_stencil(grid: CellGrid, v: VectorField, dt: float):
+def _deposit_stencil(v: VectorField, dt: float):
     """Stencil of the particles pushed from the cell centers, clamped to the walls.
 
     Working with cell_index + dt*v/h (instead of dividing physical positions
@@ -39,8 +39,7 @@ def _deposit_stencil(grid: CellGrid, v: VectorField, dt: float):
     """
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
-    if v.grid != grid:
-        raise ValueError("velocity field lives on a different grid")
+    grid = v.grid
     index = np.array(np.unravel_index(np.arange(grid.cell_count), grid.dims, order="F"))
     coords = index + (dt / np.asarray(grid.spacing))[:, None] * v.components
     walls = np.asarray(grid.dims)[:, None] - 0.5
@@ -62,18 +61,18 @@ def _deposit_family(grid: CellGrid, base: np.ndarray, data: list[np.ndarray]) ->
     return [sparse.csc_matrix((d.ravel(order="F"), indices, indptr), shape=(s, s)) for d in data]
 
 
-def advection_interp_matrix(grid: CellGrid, v: VectorField, dt: float) -> sparse.csc_matrix:
+def advection_interp_matrix(v: VectorField, dt: float) -> sparse.csc_matrix:
     """Push-and-deposit matrix S of one conservative advection step.
 
     Column j holds the deposit weights of the particle launched from cell j;
     every column sums to one and entries lie in [0, 1].
     """
-    base, frac, _ = _deposit_stencil(grid, v, dt)
-    weights = _fold_corners(zip(1.0 - frac, frac), np.multiply, np.ones(grid.cell_count))
-    return _deposit_family(grid, base, [weights])[0]
+    base, frac, _ = _deposit_stencil(v, dt)
+    weights = _fold_corners(zip(1.0 - frac, frac), np.multiply, np.ones(v.grid.cell_count))
+    return _deposit_family(v.grid, base, [weights])[0]
 
 
-def advection_weight_gradients(grid: CellGrid, v: VectorField, dt: float) -> list[sparse.csc_matrix]:
+def advection_weight_gradients(v: VectorField, dt: float) -> list[sparse.csc_matrix]:
     """Derivative of the deposit weights with respect to each velocity component.
 
     Returns one matrix G_k per axis with G_k[i, j] = d S[i, j] / d v_k[j],
@@ -82,7 +81,8 @@ def advection_weight_gradients(grid: CellGrid, v: VectorField, dt: float) -> lis
     the derivative is zero). The directional derivative of S(v) @ rho in
     direction dv is then sum_k G_k @ (rho * dv_k).
     """
-    base, frac, live = _deposit_stencil(grid, v, dt)
+    grid = v.grid
+    base, frac, live = _deposit_stencil(v, dt)
     factors = list(zip(1.0 - frac, frac))
     data = []
     for k in range(grid.ndim):

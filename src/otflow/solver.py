@@ -4,14 +4,15 @@ Minimizes, over the velocity trajectory, the transport energy
 
     0.5 * cell_volume * dt * sum_n <rho_n, |v_n|^2>
 
-plus an alpha-weighted data misfit sum_{observed n>0} <w_n, (rho_n - obs_n)^2>,
-where the trajectory rho is the forward sweep of the split steps of
-`otflow.forward`, with rho_0 pinned to the initial observation. The gradient
-and the Gauss-Newton product (misfit curvature plus the diagonal energy
-curvature in v) run the one adjoint sweep with their own per-frame sources.
-GN directions come from matrix-free inner CG, safeguarded by Armijo
-backtracking, so the objective is non-increasing across iterations; the
-accepted trial's frames and steps are the next linearization point.
+plus the data misfit alpha * sum_{observed n>0} w_n |rho_n - obs_n|^2, with
+alpha a `SolverConfig` field and w_n the observation's weight. The trajectory
+rho is the forward sweep of the split steps of `otflow.forward` from rho_0, the
+observation at time index 0. The gradient and the Gauss-Newton product
+(misfit curvature plus the diagonal energy curvature in v) run the one adjoint
+sweep with their own per-frame sources. GN directions come from matrix-free
+inner CG, safeguarded by Armijo backtracking, so the objective is
+non-increasing across iterations; the accepted trial's frames and steps are
+the next linearization point.
 
 A restricted mode reproduces the classical fixed-endpoint transport baseline:
 densities normalized to unit total mass, no diffusion, and the endpoint
@@ -60,43 +61,34 @@ BASELINE_ALPHA_FACTOR = 1.0e6
 
 @dataclass(eq=False)
 class ObservationEntry:
-    """One observed density at a time index, with per-cell fidelity weights."""
+    """One observed density at a time index, with its fidelity weight."""
 
     time_index: int
     observed: ScalarField
-    weight: np.ndarray | None = None
+    weight: float = 1.0
 
     def __post_init__(self):
         self.time_index = int(self.time_index)
         if self.time_index < 0:
             raise ValueError(f"time index must be nonnegative, got {self.time_index}")
-        if self.weight is None:
-            self.weight = np.ones(self.observed.grid.cell_count)
-        else:
-            w = np.asarray(self.weight, dtype=float).ravel()
-            if w.shape != (self.observed.grid.cell_count,):
-                raise ValueError("weight length must match the grid cell count")
-            if np.any(w <= 0):
-                raise ValueError("fidelity weights must be strictly positive")
-            self.weight = w
+        self.weight = float(self.weight)
+        if not 0 < self.weight < np.inf:
+            raise ValueError(f"fidelity weight must be positive and finite, got {self.weight}")
 
 
 @dataclass(eq=False)
 class ObservationSet:
-    """Observed densities anchoring the solve, plus the fidelity weight alpha.
+    """Observed densities anchoring the solve.
 
     The entry at time index 0 is the pinned initial condition; at least one
     later entry must be present to give the solver something to fit.
     """
 
     entries: list[ObservationEntry]
-    alpha: float
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("observation set is empty")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
         self.entries = sorted(self.entries, key=lambda e: e.time_index)
         indices = [e.time_index for e in self.entries]
         if len(set(indices)) != len(indices):
@@ -108,7 +100,6 @@ class ObservationSet:
         grid = self.entries[0].observed.grid
         if any(e.observed.grid != grid for e in self.entries):
             raise GridMismatchError("observations live on different grids")
-        self.alpha = float(self.alpha)
 
     @property
     def grid(self) -> CellGrid:
@@ -210,7 +201,8 @@ def _energy_weight(steps: list[SplitStep]) -> float:
 
 
 def _objective_terms(
-    v_values: np.ndarray, frames: np.ndarray, steps: list[SplitStep], obs: ObservationSet
+    v_values: np.ndarray, frames: np.ndarray, steps: list[SplitStep], obs: ObservationSet,
+    alpha: float,
 ) -> tuple[float, float, float]:
     speed_sq = (v_values**2).sum(axis=1)  # (m, s)
     energy = 0.5 * _energy_weight(steps) * float((frames[:-1] * speed_sq).sum())
@@ -218,19 +210,20 @@ def _objective_terms(
     for idx, entry in obs.interior().items():
         r = frames[idx] - entry.observed.values
         residual += float((entry.weight * r * r).sum())
-    misfit = obs.alpha * residual
+    misfit = alpha * residual
     return energy + misfit, energy, misfit
 
 
 def _gradient_values(
-    v_values: np.ndarray, frames: np.ndarray, steps: list[SplitStep], obs: ObservationSet
+    v_values: np.ndarray, frames: np.ndarray, steps: list[SplitStep], obs: ObservationSet,
+    alpha: float,
 ) -> np.ndarray:
     """Adjoint gradient. The sweep's sources are the energy's density
     sensitivity at frames 1..m-1 and the weighted misfit residuals."""
     coef = _energy_weight(steps)
     energy = {n: 0.5 * coef * (v_values[n] ** 2).sum(axis=0) for n in range(1, len(steps))}
     misfit = {
-        n: 2.0 * obs.alpha * e.weight * (frames[n] - e.observed.values)
+        n: 2.0 * alpha * e.weight * (frames[n] - e.observed.values)
         for n, e in obs.interior().items()
     }
     g = coef * frames[:-1][:, None, :] * v_values
@@ -238,7 +231,8 @@ def _gradient_values(
 
 
 def _gn_hessian_apply(
-    dv: np.ndarray, frames: np.ndarray, steps: list[SplitStep], obs: ObservationSet
+    dv: np.ndarray, frames: np.ndarray, steps: list[SplitStep], obs: ObservationSet,
+    alpha: float,
 ) -> np.ndarray:
     """Gauss-Newton curvature product: misfit J^T W J plus the diagonal energy block.
 
@@ -246,7 +240,7 @@ def _gn_hessian_apply(
     dropped, which keeps the operator symmetric positive semidefinite.
     """
     drho = linearized_sweep(steps, frames, dv)
-    misfit = {n: 2.0 * obs.alpha * e.weight * drho[n] for n, e in obs.interior().items()}
+    misfit = {n: 2.0 * alpha * e.weight * drho[n] for n, e in obs.interior().items()}
     out = _energy_weight(steps) * frames[:-1][:, None, :] * dv
     return adjoint_sweep(steps, frames, (misfit,), out=out)
 
@@ -279,10 +273,8 @@ def _gn_step(hess_apply: Callable[[np.ndarray], np.ndarray], grad: np.ndarray) -
     return x
 
 
-def _validate_problem(rho0: ScalarField, obs: ObservationSet, config: SolverConfig):
-    if rho0.grid != obs.grid:
-        raise GridMismatchError("initial density and observations live on different grids")
-    if np.any(rho0.values < 0):
+def _validate_problem(obs: ObservationSet, config: SolverConfig):
+    if np.any(obs.initial.values < 0):
         raise ValueError("initial density must be nonnegative")
     if obs.max_index() > config.time_steps:
         raise ValueError(
@@ -290,40 +282,40 @@ def _validate_problem(rho0: ScalarField, obs: ObservationSet, config: SolverConf
         )
 
 
-def _sweep(v: VelocitySeries, rho0: ScalarField, obs: ObservationSet, config: SolverConfig):
-    _validate_problem(rho0, obs, config)
+def _sweep(v: VelocitySeries, obs: ObservationSet, config: SolverConfig):
+    _validate_problem(obs, config)
     diffusion = ImplicitDiffusion(v.grid, config.sigma, v.time_grid.dt)
-    return forward_frames(v.values, rho0.values, diffusion)
+    return forward_frames(v.values, obs.initial.values, diffusion)
 
 
-def objective(
-    v: VelocitySeries, rho0: ScalarField, obs: ObservationSet, config: SolverConfig
-) -> ObjectiveValue:
+def objective(v: VelocitySeries, obs: ObservationSet, config: SolverConfig) -> ObjectiveValue:
     """Evaluate the transport energy, the data misfit, and their sum at v."""
-    frames, steps = _sweep(v, rho0, obs, config)
-    total, energy, misfit = _objective_terms(v.values, frames, steps, obs)
+    frames, steps = _sweep(v, obs, config)
+    total, energy, misfit = _objective_terms(v.values, frames, steps, obs, config.alpha)
     return ObjectiveValue(total, energy, misfit, DensitySeries(v.grid, v.time_grid, frames))
 
 
-def gradient(
-    v: VelocitySeries, rho0: ScalarField, obs: ObservationSet, config: SolverConfig
-) -> VelocitySeries:
+def gradient(v: VelocitySeries, obs: ObservationSet, config: SolverConfig) -> VelocitySeries:
     """Adjoint gradient of the objective with respect to the velocity trajectory."""
-    frames, steps = _sweep(v, rho0, obs, config)
-    return VelocitySeries(v.grid, v.time_grid, _gradient_values(v.values, frames, steps, obs))
+    frames, steps = _sweep(v, obs, config)
+    values = _gradient_values(v.values, frames, steps, obs, config.alpha)
+    return VelocitySeries(v.grid, v.time_grid, values)
 
 
-def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> SolveResult:
-    """Gauss-Newton minimization of the objective, starting from zero velocity."""
-    _validate_problem(rho0, obs, config)
-    grid = rho0.grid
+def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
+    """Gauss-Newton minimization of the objective, starting from zero velocity
+    and from the density observed at time index 0."""
+    _validate_problem(obs, config)
+    grid = obs.grid
+    rho0 = obs.initial.values
+    alpha = config.alpha
     time_grid = TimeGrid.unit_horizon(config.time_steps)
     diffusion = ImplicitDiffusion(grid, config.sigma, time_grid.dt)
 
     v = np.zeros((time_grid.steps, grid.ndim, grid.cell_count))
-    frames, steps = forward_frames(v, rho0.values, diffusion)
-    phi, energy, misfit = _objective_terms(v, frames, steps, obs)
-    g = _gradient_values(v, frames, steps, obs)
+    frames, steps = forward_frames(v, rho0, diffusion)
+    phi, energy, misfit = _objective_terms(v, frames, steps, obs, alpha)
+    g = _gradient_values(v, frames, steps, obs, alpha)
     gnorm = float(np.linalg.norm(g))
     gnorm0 = gnorm
     records = [IterationRecord(0, phi, energy, misfit, gnorm, 0.0)]
@@ -331,7 +323,7 @@ def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> Solve
     termination = "gradient" if gnorm0 == 0.0 else "max_iters"
     if termination == "max_iters":
         for it in range(1, config.max_gn_iters + 1):
-            direction = _gn_step(lambda dv: _gn_hessian_apply(dv, frames, steps, obs), g)
+            direction = _gn_step(lambda dv: _gn_hessian_apply(dv, frames, steps, obs, alpha), g)
             slope = float((g * direction).sum())
             if slope >= 0.0:
                 direction = -g
@@ -342,8 +334,8 @@ def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> Solve
             accepted = False
             for _ in range(MAX_BACKTRACKS + 1):
                 trial_v = v + t * direction
-                trial = forward_frames(trial_v, rho0.values, diffusion)
-                trial_phi, trial_e, trial_m = _objective_terms(trial_v, *trial, obs)
+                trial = forward_frames(trial_v, rho0, diffusion)
+                trial_phi, trial_e, trial_m = _objective_terms(trial_v, *trial, obs, alpha)
                 if np.isfinite(trial_phi) and trial_phi <= phi + ARMIJO_C * t * slope:
                     accepted = True
                     break
@@ -354,7 +346,7 @@ def solve(rho0: ScalarField, obs: ObservationSet, config: SolverConfig) -> Solve
             v = trial_v
             frames, steps = trial
             phi, energy, misfit = trial_phi, trial_e, trial_m
-            g = _gradient_values(v, frames, steps, obs)
+            g = _gradient_values(v, frames, steps, obs, alpha)
             gnorm = float(np.linalg.norm(g))
             records.append(IterationRecord(it, phi, energy, misfit, gnorm, t))
             if gnorm <= config.stop_tolerance * gnorm0:
@@ -386,15 +378,13 @@ def solve_baseline(
         raise ValueError("baseline endpoints must carry positive total mass")
     start = ScalarField(rho0.grid, rho0.values / mass0)
     target = ScalarField(rho0.grid, rhoT_obs.values / massT)
-    baseline_config = dataclasses.replace(config, sigma=0.0)
-    obs = ObservationSet(
-        entries=[
-            ObservationEntry(0, start),
-            ObservationEntry(baseline_config.time_steps, target),
-        ],
-        alpha=config.alpha * BASELINE_ALPHA_FACTOR,
+    baseline_config = dataclasses.replace(
+        config, sigma=0.0, alpha=config.alpha * BASELINE_ALPHA_FACTOR
     )
-    return solve(start, obs, baseline_config)
+    obs = ObservationSet(
+        [ObservationEntry(0, start), ObservationEntry(baseline_config.time_steps, target)]
+    )
+    return solve(obs, baseline_config)
 
 
 def registration_errors(result_final: ScalarField, target: ScalarField) -> tuple[float, float]:

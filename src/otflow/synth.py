@@ -127,6 +127,10 @@ class SynthSpec:
         for key, vector in vectors:
             if vector is not None and len(vector) != len(self.dims):
                 raise ConfigError(f"{key!r} needs one entry per axis of 'dims'", key)
+        times = self.observe_times
+        if min(times, default=0.0) < 0 or any(b <= a for a, b in zip(times, times[1:])):
+            raise ConfigError("'observe_times' must be nonnegative and increasing",
+                              "observe_times")
         if self.velocity.kind != "constant" and len(self.dims) < 2:
             raise ConfigError(f"'velocity.kind' {self.velocity.kind!r} needs two axes",
                               "velocity.kind")

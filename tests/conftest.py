@@ -61,9 +61,7 @@ def gradient_check_instance(seed: int, sigma: float):
     floor = 0.05 / grid.cell_count
     rho0 = ScalarField(grid, gaussian_blob(grid, (0.45, 0.5), 0.15, 1.0).values + floor)
     target = ScalarField(grid, gaussian_blob(grid, (0.55, 0.6), 0.15, 1.0).values + floor)
-    obs = ObservationSet(
-        [ObservationEntry(0, rho0), ObservationEntry(3, target)], alpha=1.0
-    )
+    obs = ObservationSet([ObservationEntry(0, rho0), ObservationEntry(3, target)])
     attempt = seed
     while True:
         rng = philox(attempt)

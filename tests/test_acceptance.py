@@ -58,11 +58,9 @@ def report(cid: str, ok: bool, detail: str):
 def denoise_runs(noisy_endpoint_pair):
     truth0, truth_T, observed_T, _ = noisy_endpoint_pair
     config = SolverConfig(sigma=0.05, alpha=0.3, time_steps=4, max_gn_iters=50)
-    obs = ObservationSet(
-        [ObservationEntry(0, truth0), ObservationEntry(4, observed_T)], alpha=0.3
-    )
+    obs = ObservationSet([ObservationEntry(0, truth0), ObservationEntry(4, observed_T)])
     start = time.perf_counter()
-    regularized = solve(truth0, obs, config)
+    regularized = solve(obs, config)
     baseline = solve_baseline(truth0, observed_T, config)
     elapsed = time.perf_counter() - start
     return regularized, baseline, truth_T, elapsed
@@ -76,10 +74,8 @@ def sigma_sweep_runs():
     start = time.perf_counter()
     for sigma in (0.002, 0.02, 0.2):
         config = SolverConfig(sigma=sigma, alpha=0.3, time_steps=4, max_gn_iters=30)
-        obs = ObservationSet(
-            [ObservationEntry(0, truth0), ObservationEntry(4, observed_T)], alpha=0.3
-        )
-        runs[sigma] = solve(truth0, obs, config)
+        obs = ObservationSet([ObservationEntry(0, truth0), ObservationEntry(4, observed_T)])
+        runs[sigma] = solve(obs, config)
     return runs, time.perf_counter() - start
 
 
@@ -150,10 +146,10 @@ def test_c03_adjoint_gradient():
     worst = 0.0
     for seed in range(20):
         sigma = (0.0, 0.002, 0.01)[seed % 3]
-        rho0, obs, config, v, dv = gradient_check_instance(seed, sigma)
-        adjoint = float((gradient(v, rho0, obs, config).values * dv.values).sum())
+        _, obs, config, v, dv = gradient_check_instance(seed, sigma)
+        adjoint = float((gradient(v, obs, config).values * dv.values).sum())
         fd = finite_difference_gradient(
-            lambda w: objective(w, rho0, obs, config).total, v, dv, 1e-5
+            lambda w: objective(w, obs, config).total, v, dv, 1e-5
         )
         worst = max(worst, abs(adjoint - fd) / abs(fd))
     elapsed = time.perf_counter() - start

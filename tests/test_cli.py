@@ -110,6 +110,35 @@ class TestSolveCommand:
         assert run("solve", "--config", str(cfg)) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("key", ["stop_tolerance", "alpha", "observations[1].weight"])
+    def test_non_finite_number_names_key(self, tmp_path, capsys, key, dry_run):
+        write_pair(tmp_path)
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        if key.startswith("observations"):
+            doc["observations"][1]["weight"] = float("nan")
+        else:
+            doc[key] = float("inf")
+        cfg.write_text(json.dumps(doc))  # written as the JSON literals NaN and Infinity
+        assert run("solve", "--config", str(cfg), *dry_run) == 1
+        assert f"key '{key}' must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dims, spacing", [([10, 12], [1 / 12, 1 / 12]),
+                                               ([12, 12], [0.1, 1 / 12])],
+                             ids=["dims", "spacing"])
+    def test_observation_grid_mismatch_names_both_grids(self, tmp_path, capsys, dims, spacing):
+        write_pair(tmp_path)
+        other = CellGrid(dims, spacing)
+        write_volume(tmp_path / "rhoT.nii", other, np.ones(other.cell_count))
+        cfg = write_config(tmp_path)
+        assert run("solve", "--config", str(cfg)) == 1
+        grid0, _ = read_volume(tmp_path / "rho0.nii")
+        gridT, _ = read_volume(tmp_path / "rhoT.nii")
+        assert f"rhoT.nii has grid {gridT}, expected {grid0}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_baseline_mode(self, tmp_path):
         write_pair(tmp_path, shift_cells=1)
         cfg = write_config(tmp_path, baseline_mode=True, alpha=1.0)
@@ -171,6 +200,23 @@ class TestFpaCommand:
         cfg = write_config(tmp_path)
         assert run("fpa", "--config", str(cfg)) == 1
         assert "stage 'load'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("dims", None), ("dims", "24x24"), ("dt", "0.5")],
+                             ids=["missing", "not-a-list", "mistyped"])
+    def test_bad_velocity_manifest_fails_in_load(self, tmp_path, capsys, key, value):
+        _channel_outputs(tmp_path)
+        path = tmp_path / "out" / "velocity_manifest.json"
+        manifest = json.loads(path.read_text())
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        cfg = write_config(tmp_path)
+        assert run("fpa", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'load'" in err
+        assert f"'{key}'" in err
 
     def test_rerun_byte_identical(self, tmp_path):
         _channel_outputs(tmp_path)
@@ -235,6 +281,28 @@ class TestSynthCommand:
         out = tmp_path / "synth"
         assert run("synth", str(path), "--out", str(out), *dry_run) == 1
         assert "'spacing'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("times", [[0.0, -2.0], [-1.0, 1.0], [0.0, 0.5, 0.5]])
+    def test_bad_observe_times_fail_before_writing(self, tmp_path, capsys, times, dry_run):
+        doc = dict(json.loads(self._spec(tmp_path).read_text()), observe_times=times)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "synth"
+        assert run("synth", str(path), "--out", str(out), *dry_run) == 1
+        assert "'observe_times' must be nonnegative and increasing" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry-run"])
+    def test_non_finite_blob_width_names_key(self, tmp_path, capsys, dry_run):
+        doc = json.loads(self._spec(tmp_path).read_text())
+        doc["blobs"][0]["width"] = float("inf")
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "synth"
+        assert run("synth", str(path), "--out", str(out), *dry_run) == 1
+        assert "key 'blobs[0].width' must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dims_not_a_list_names_key_under_dry_run(self, tmp_path, capsys):

@@ -54,12 +54,12 @@ class TestDiffusionOperator:
 class TestDepositMatrix:
     def test_zero_velocity_is_identity(self):
         g = CellGrid([4, 3], [1.0, 0.5])
-        S = advection_interp_matrix(g, VectorField.zeros(g), 0.7)
+        S = advection_interp_matrix(VectorField.zeros(g), 0.7)
         np.testing.assert_allclose(S.toarray(), np.eye(g.cell_count))
 
     def test_1d_half_cell_split(self):
         g = CellGrid([4], [1.0])
-        S = advection_interp_matrix(g, VectorField.constant(g, [0.5]), 1.0)
+        S = advection_interp_matrix(VectorField.constant(g, [0.5]), 1.0)
         np.testing.assert_allclose(S @ np.array([0.0, 1.0, 0.0, 0.0]), [0, 0.5, 0.5, 0])
 
     @settings(max_examples=20, deadline=None)
@@ -68,7 +68,7 @@ class TestDepositMatrix:
         grid = CellGrid(*geom)
         rng = philox(seed)
         v = VectorField(grid, rng.uniform(-1.5, 1.5, (grid.ndim, grid.cell_count)))
-        S = advection_interp_matrix(grid, v, dt)
+        S = advection_interp_matrix(v, dt)
         colsums = np.asarray(S.sum(axis=0)).ravel()
         np.testing.assert_allclose(colsums, 1.0, atol=1e-14)
         assert S.data.min() >= 0.0
@@ -77,7 +77,7 @@ class TestDepositMatrix:
     def test_outflow_clamps_to_boundary_cell(self):
         # a particle pushed past the wall deposits everything in the last cell
         g = CellGrid([4], [1.0])
-        S = advection_interp_matrix(g, VectorField.constant(g, [10.0]), 1.0)
+        S = advection_interp_matrix(VectorField.constant(g, [10.0]), 1.0)
         out = S @ np.array([0.25, 0.25, 0.25, 0.25])
         np.testing.assert_allclose(out, [0, 0, 0, 1.0])
 
@@ -89,8 +89,8 @@ class TestDepositMatrix:
         vel = rng.uniform(-1.0, 1.0, (3, thick.cell_count))
         vel[1] = rng.uniform(0.2, 1.0, thick.cell_count)  # every particle leaves its center
         x = rng.uniform(0.0, 1.0, thick.cell_count)
-        S_thick = advection_interp_matrix(thick, VectorField(thick, vel), 0.3)
-        S_flat = advection_interp_matrix(flat, VectorField(flat, vel[[0, 2]]), 0.3)
+        S_thick = advection_interp_matrix(VectorField(thick, vel), 0.3)
+        S_flat = advection_interp_matrix(VectorField(flat, vel[[0, 2]]), 0.3)
         assert np.array_equal(S_thick @ x, S_flat @ x)
 
 
@@ -110,7 +110,7 @@ def _corner_weight(frac, offsets):
 def _reference_deposit(grid, v, dt):
     """The COO -> canonical CSR assembly of S and the G_k that the shared CSC
     pattern replaced, with the transposes copied to CSR as the step kept them."""
-    base, frac, live = _deposit_stencil(grid, v, dt)
+    base, frac, live = _deposit_stencil(v, dt)
     s = grid.cell_count
     corners = list(product((0, 1), repeat=grid.ndim))
 
@@ -150,8 +150,8 @@ class TestDepositPattern:
         dt = 0.5
         x = rng.standard_normal(grid.cell_count)
         y = rng.standard_normal(grid.cell_count)
-        S = advection_interp_matrix(grid, v, dt)
-        grads = advection_weight_gradients(grid, v, dt)
+        S = advection_interp_matrix(v, dt)
+        grads = advection_weight_gradients(v, dt)
         S_ref, grads_ref = _reference_deposit(grid, v, dt)
         assert np.array_equal(S @ x, S_ref @ x)
         assert np.array_equal(S.T @ y, S_ref.T.tocsr() @ y)
@@ -177,7 +177,7 @@ class TestWeightGradients:
         # particle sits mid-way between two centers: dw/d(displacement) = -1/h, +1/h
         g = CellGrid([4], [2.0])
         v = VectorField(g, np.array([[0.0, 1.0, 0.0, 0.0]]))  # cell 1 lands mid-cell
-        G = advection_weight_gradients(g, v, 1.0)[0]
+        G = advection_weight_gradients(v, 1.0)[0]
         col = G.toarray()[:, 1]
         np.testing.assert_allclose(col, [0, -0.5, 0.5, 0])
 
@@ -191,10 +191,8 @@ class TestWeightGradients:
         rho = ScalarField(g, rng.uniform(0.5, 1.5, g.cell_count))
         dt = 0.25
         eps = 1e-6
-        S0 = advection_interp_matrix(g, v, dt)
-        S1 = advection_interp_matrix(
-            g, VectorField(g, v.components + eps * dv.components), dt
-        )
+        S0 = advection_interp_matrix(v, dt)
+        S1 = advection_interp_matrix(VectorField(g, v.components + eps * dv.components), dt)
         fd = (S1 @ rho.values - S0 @ rho.values) / eps
         got = SplitStep(v, ImplicitDiffusion(g, 0.0, dt)).jvp(rho.values, dv.components)
         np.testing.assert_allclose(got, fd, atol=1e-6 * np.abs(fd).max())
@@ -203,7 +201,7 @@ class TestWeightGradients:
         g = CellGrid([5, 4], [0.5, 0.5])
         rng = philox(9)
         v = VectorField(g, 0.08 * rng.standard_normal((2, g.cell_count)))
-        grads = advection_weight_gradients(g, v, 0.3)
+        grads = advection_weight_gradients(v, 0.3)
         x = rng.standard_normal(g.cell_count)
         y = rng.standard_normal(g.cell_count)
         for G in grads:

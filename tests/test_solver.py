@@ -28,31 +28,29 @@ from oracles import finite_difference_gradient
 from conftest import gradient_check_instance, philox, translating_pair
 
 
-def _pair_obs(rho0, target, steps, alpha):
-    return ObservationSet(
-        [ObservationEntry(0, rho0), ObservationEntry(steps, target)], alpha=alpha
-    )
+def _pair_obs(rho0, target, steps):
+    return ObservationSet([ObservationEntry(0, rho0), ObservationEntry(steps, target)])
 
 
 class TestObservationSet:
     def test_requires_initial_and_later_entry(self, grid_2d):
         f = ScalarField(grid_2d, np.ones(grid_2d.cell_count))
         with pytest.raises(ValueError):
-            ObservationSet([ObservationEntry(1, f)], alpha=1.0)
+            ObservationSet([ObservationEntry(1, f)])
         with pytest.raises(ValueError):
-            ObservationSet([ObservationEntry(0, f)], alpha=1.0)
+            ObservationSet([ObservationEntry(0, f)])
 
     def test_rejects_bad_weights(self, grid_2d):
         f = ScalarField(grid_2d, np.ones(grid_2d.cell_count))
-        with pytest.raises(ValueError):
-            ObservationEntry(0, f, weight=np.zeros(grid_2d.cell_count))
+        for weight in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ObservationEntry(0, f, weight=weight)
 
     def test_rejects_duplicate_indices(self, grid_2d):
         f = ScalarField(grid_2d, np.ones(grid_2d.cell_count))
         with pytest.raises(ValueError):
             ObservationSet(
-                [ObservationEntry(0, f), ObservationEntry(2, f), ObservationEntry(2, f)],
-                alpha=1.0,
+                [ObservationEntry(0, f), ObservationEntry(2, f), ObservationEntry(2, f)]
             )
 
 
@@ -70,7 +68,7 @@ class TestObjective:
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.15, 1.0)
         cfg = SolverConfig(sigma=0.0, alpha=1.0, time_steps=2)
         v = VelocitySeries.zeros(g, TimeGrid.unit_horizon(2))
-        val = objective(v, rho0, _pair_obs(rho0, rho0, 2, 1.0), cfg)
+        val = objective(v, _pair_obs(rho0, rho0, 2), cfg)
         assert val.total == 0.0
 
     def test_constant_offset_misfit(self):
@@ -80,7 +78,7 @@ class TestObjective:
         shifted = ScalarField(g, rho0.values + c)
         cfg = SolverConfig(sigma=0.0, alpha=alpha, time_steps=2)
         v = VelocitySeries.zeros(g, TimeGrid.unit_horizon(2))
-        val = objective(v, rho0, _pair_obs(rho0, shifted, 2, alpha), cfg)
+        val = objective(v, _pair_obs(rho0, shifted, 2), cfg)
         assert val.energy == 0.0
         assert val.misfit == pytest.approx(alpha * g.cell_count * c**2, rel=1e-12)
         assert val.total == val.energy + val.misfit
@@ -93,7 +91,7 @@ class TestObjective:
         v = VelocitySeries(g, tg, np.full((1, 1, 4), 0.5))
         advected = ScalarField(g, [0.0, 0.5, 0.5, 0.0])
         cfg = SolverConfig(sigma=0.0, alpha=1.0, time_steps=1)
-        val = objective(v, rho0, _pair_obs(rho0, advected, 1, 1.0), cfg)
+        val = objective(v, _pair_obs(rho0, advected, 1), cfg)
         assert val.energy == pytest.approx(0.125, rel=1e-12)
         assert val.misfit == pytest.approx(0.0, abs=1e-25)
 
@@ -104,16 +102,16 @@ class TestGradient:
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.15, 1.0)
         cfg = SolverConfig(sigma=0.0, alpha=1.0, time_steps=2)
         v = VelocitySeries.zeros(g, TimeGrid.unit_horizon(2))
-        grad = gradient(v, rho0, _pair_obs(rho0, rho0, 2, 1.0), cfg)
+        grad = gradient(v, _pair_obs(rho0, rho0, 2), cfg)
         np.testing.assert_allclose(grad.values, 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("seed,sigma", [(0, 0.0), (1, 0.002), (2, 0.01)])
     def test_matches_central_differences(self, seed, sigma):
-        rho0, obs, cfg, v, dv = gradient_check_instance(seed, sigma)
-        grad = gradient(v, rho0, obs, cfg)
+        _, obs, cfg, v, dv = gradient_check_instance(seed, sigma)
+        grad = gradient(v, obs, cfg)
         adjoint = float((grad.values * dv.values).sum())
         fd = finite_difference_gradient(
-            lambda w: objective(w, rho0, obs, cfg).total, v, dv, 1e-5
+            lambda w: objective(w, obs, cfg).total, v, dv, 1e-5
         )
         assert adjoint == pytest.approx(fd, rel=1e-5)
 
@@ -123,9 +121,9 @@ class TestGradient:
         target = gaussian_blob(grid, (0.6, 0.5), 0.15, 1.0)
 
         def grad_at(alpha):
-            obs = _pair_obs(rho0, target, 3, alpha)
+            obs = _pair_obs(rho0, target, 3)
             cfg = SolverConfig(sigma=0.0, alpha=alpha, time_steps=3)
-            return gradient(v, rho0, obs, cfg).values
+            return gradient(v, obs, cfg).values
 
         g1, g2, g3 = grad_at(1.0), grad_at(2.0), grad_at(3.0)
         np.testing.assert_allclose(g3 - g2, g2 - g1, rtol=1e-10, atol=1e-18)
@@ -138,13 +136,13 @@ class TestGradient:
 class TestGaussNewtonProduct:
     @pytest.mark.parametrize("seed,sigma", [(3, 0.0), (4, 0.01)])
     def test_symmetric_positive_semidefinite(self, seed, sigma):
-        rho0, obs, _, v, _ = gradient_check_instance(seed, sigma)
+        rho0, obs, cfg, v, _ = gradient_check_instance(seed, sigma)
         diffusion = ImplicitDiffusion(v.grid, sigma, v.time_grid.dt)
         frames, steps = forward_frames(v.values, rho0.values, diffusion)
         rng = philox(40 + seed)
         x, y = rng.standard_normal((2,) + v.values.shape)
-        hx = _gn_hessian_apply(x, frames, steps, obs)
-        hy = _gn_hessian_apply(y, frames, steps, obs)
+        hx = _gn_hessian_apply(x, frames, steps, obs, cfg.alpha)
+        hy = _gn_hessian_apply(y, frames, steps, obs, cfg.alpha)
         assert (x * hy).sum() == pytest.approx((hx * y).sum(), rel=1e-12)
         assert (hx * x).sum() >= 0.0
 
@@ -154,7 +152,7 @@ class TestSolve:
         g = CellGrid([8, 8], [1 / 8, 1 / 8])
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.15, 1.0)
         cfg = SolverConfig(sigma=0.0, alpha=1.0, time_steps=3)
-        res = solve(rho0, _pair_obs(rho0, rho0, 3, 1.0), cfg)
+        res = solve(_pair_obs(rho0, rho0, 3), cfg)
         assert res.converged
         assert len(res.diagnostics) <= 2
         assert res.diagnostics[-1].phi == 0.0
@@ -164,7 +162,7 @@ class TestSolve:
         spec, truth0, truth_T = translating_pair()
         shift = np.asarray(spec.velocity.value)
         cfg = SolverConfig(sigma=0.0, alpha=1000.0, time_steps=4, max_gn_iters=50)
-        res = solve(truth0, _pair_obs(truth0, truth_T, 4, 1000.0), cfg)
+        res = solve(_pair_obs(truth0, truth_T, 4), cfg)
         disp = np.zeros(2)
         for n in range(4):
             rho_n = res.densities.values[n]
@@ -179,7 +177,7 @@ class TestSolve:
         noise_std = 0.05 * truth0.values.max()
         observed_T = add_noise(truth_T, noise_std, 31)
         cfg = SolverConfig(sigma=0.05, alpha=0.3, time_steps=4, max_gn_iters=30)
-        res = solve(truth0, _pair_obs(truth0, observed_T, 4, 0.3), cfg)
+        res = solve(_pair_obs(truth0, observed_T, 4), cfg)
         mse_clean, _ = registration_errors(res.densities.frame(4), truth_T)
         mse_obs, _ = registration_errors(observed_T, truth_T)
         assert mse_clean < mse_obs
@@ -187,7 +185,7 @@ class TestSolve:
     def test_descent_and_diagnostics(self):
         spec, truth0, truth_T = translating_pair(n=16, shift_cells=2, width=0.14)
         cfg = SolverConfig(sigma=0.0, alpha=10.0, time_steps=3, max_gn_iters=8)
-        res = solve(truth0, _pair_obs(truth0, truth_T, 3, 10.0), cfg)
+        res = solve(_pair_obs(truth0, truth_T, 3), cfg)
         phis = [r.phi for r in res.diagnostics]
         assert all(b <= a for a, b in zip(phis, phis[1:]))
         assert res.diagnostics[0].iteration == 0
@@ -200,7 +198,7 @@ class TestSolve:
         spec, truth0, truth_T = translating_pair(n=16, shift_cells=2, width=0.14)
         cfg = SolverConfig(sigma=0.0, alpha=10.0, time_steps=3, max_gn_iters=1,
                            stop_tolerance=1e-12)
-        res = solve(truth0, _pair_obs(truth0, truth_T, 3, 10.0), cfg)
+        res = solve(_pair_obs(truth0, truth_T, 3), cfg)
         assert not res.converged
         assert res.termination == "max_iters"
 
@@ -209,7 +207,7 @@ class TestSolve:
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.2, 1.0)
         cfg = SolverConfig(time_steps=2)
         with pytest.raises(ValueError):
-            solve(rho0, _pair_obs(rho0, rho0, 3, 1.0), cfg)
+            solve(_pair_obs(rho0, rho0, 3), cfg)
 
 
 class TestBaseline:
