@@ -233,14 +233,20 @@ def read_velocity_series(path_prefix) -> VelocitySeries:
     for key in ("time_steps", "dt", "dims", "spacing"):
         if key not in manifest:
             raise ConfigError(f"{path}: missing key {key!r}", key)
-    grid = CellGrid(
-        _typed_list(manifest["dims"], int, "dims"),
-        _typed_list(manifest["spacing"], (int, float), "spacing"),
-    )
-    time_grid = TimeGrid(
-        _typecheck(manifest["time_steps"], int, "time_steps"),
-        float(_typecheck(manifest["dt"], (int, float), "dt")),
-    )
+    dims = _typed_list(manifest["dims"], int, "dims")
+    spacing = _typed_list(manifest["spacing"], (int, float), "spacing")
+    steps = _typecheck(manifest["time_steps"], int, "time_steps")
+    dt = _typecheck(manifest["dt"], (int, float), "dt")
+    for key, ok, requirement in (
+        ("time_steps", steps >= 1, "at least 1"),
+        ("dt", dt > 0, "positive"),
+        ("dims", 1 <= len(dims) <= 3 and min(dims) > 0, "1 to 3 positive cell counts"),
+        ("spacing", len(spacing) == len(dims) and min(spacing) > 0, "positive, one per axis"),
+    ):
+        if not ok:
+            raise ConfigError(f"{path}: key {key!r} must be {requirement}, got {manifest[key]!r}", key)
+    grid = CellGrid(dims, spacing)
+    time_grid = TimeGrid(steps, float(dt))
     values = np.empty((time_grid.steps, grid.ndim, grid.cell_count))
     for n in range(time_grid.steps):
         for k in range(grid.ndim):

@@ -11,10 +11,11 @@ to zero so densities stay nonnegative. A is a Kronecker sum of 1D zero-flux
 stencils with a scalar diffusivity, so the orthonormal type-II DCT basis of
 each axis diagonalizes it and the solve is exact.
 
-`SplitStep` defines one interval and its derivatives once. On it sit the one
-forward sweep (`forward_frames`), its linearisation (`linearized_sweep`) and
-the one adjoint sweep (`adjoint_sweep`) that the solver's objective, gradient
-and Gauss-Newton product share.
+`SplitStep` defines one interval once, and `Sweep` the velocity derivative of
+all intervals of a sweep at once. On them sit the one forward sweep
+(`forward_frames`), its linearisation (`linearized_sweep`) and the one adjoint
+sweep (`adjoint_sweep`) that the solver's objective, gradient and Gauss-Newton
+product share.
 """
 
 from __future__ import annotations
@@ -120,7 +121,10 @@ class ImplicitDiffusion:
     Each per-axis transform is one BLAS product: the basis (or its transposed
     view) times x with axis k moved to the front, reshaped to an (n_k, s / n_k)
     matrix. These are the operands np.tensordot(C, x, axes=(1, k)) passes, so
-    the solve keeps its bits, without tensordot's per-call bookkeeping.
+    the solve keeps its bits, without tensordot's per-call bookkeeping. The
+    views that would change nothing (the transposes of axis 0, the reshapes of
+    a 2-D grid) are left out: they leave the operands as they are, and at 32^2
+    their calls took a fifth of an apply.
     """
 
     def __init__(self, grid: CellGrid, sigma: float, dt: float):
@@ -136,12 +140,16 @@ class ImplicitDiffusion:
         self.bases = [_dct_basis(n) for n in grid.dims]
         self.bases_T = [C.T for C in self.bases]
         # per axis k: axis k to the front, the (n_k, rest) matrix, the product
-        # as a stacked array, and the transpose that puts axis k back
+        # as a stacked array, and the transpose that puts axis k back; None
+        # where the view would be the array itself
         self.axis_plans = []
+        flat = grid.ndim != 2
         for k, n in enumerate(grid.dims):
             front = (k, *(a for a in range(grid.ndim) if a != k))
             back = tuple(map(front.index, range(grid.ndim)))
-            self.axis_plans.append((front, (n, -1), tuple(grid.dims[a] for a in front), back))
+            stacked = tuple(grid.dims[a] for a in front)
+            shapes = ((n, -1), stacked) if flat else (None, None)
+            self.axis_plans.append((front if k else None, *shapes, back if k else None))
         modes = np.ix_(*(np.arange(n) for n in grid.dims))
         eig = 1.0
         for j, n, h in zip(modes, grid.dims, grid.spacing):
@@ -156,12 +164,18 @@ class ImplicitDiffusion:
         # alive, and at 48^3 the fresh pages that cost made apply 12 % slower.
         x = np.asarray(rhs, dtype=float).reshape(self.grid.dims, order="F")
         for C, (front, matrix, stacked, back) in zip(self.bases, self.axis_plans):
-            x = np.dot(C, x.transpose(front).reshape(matrix)).reshape(stacked).transpose(back)
+            x = x if front is None else x.transpose(front)
+            x = np.dot(C, x if matrix is None else x.reshape(matrix))
+            x = x if stacked is None else x.reshape(stacked)
+            x = x if back is None else x.transpose(back)
         # out of place: the quotient is C-ordered, which decides the operand
         # layouts of the inverse products, and so keeps them tensordot's
         x = x / self.eigenvalues
         for C, (front, matrix, stacked, back) in zip(self.bases_T, self.axis_plans):
-            x = np.dot(C, x.transpose(front).reshape(matrix)).reshape(stacked).transpose(back)
+            x = x if front is None else x.transpose(front)
+            x = np.dot(C, x if matrix is None else x.reshape(matrix))
+            x = x if stacked is None else x.reshape(stacked)
+            x = x if back is None else x.transpose(back)
         return x.ravel(order="F")
 
 
@@ -169,15 +183,13 @@ class SplitStep:
     """One interval of the split model: the deposit S(v_n), then the solve D.
 
     `push` is the linear step x -> D(S x + inj), where inj is a velocity
-    perturbation `jvp(rho, dv)` entering before the solve. `advance` is push
+    perturbation (`Sweep.jvp`) entering before the solve. `advance` is push
     followed by the clamp of round-off negatives to zero, the model's one
     negative-density policy. D is symmetric, so y -> pull(D y) is the
-    transpose of push in x and y -> vjp(rho, D y) its transpose in dv.
-    S and the G_k are built on first use, so a step that only advances (a
-    rejected line-search trial) never builds the derivatives. They are CSC, so
-    S^T and G_k^T are CSR views of the same arrays, not copies. The views are
-    cached because each `.T` builds a new scipy matrix object, and at 32^2
-    that costs twice the product it feeds.
+    transpose of push in x. S is built on first use and is CSC, so S^T is a
+    CSR view of the same arrays, not a copy. The view is cached because each
+    `.T` builds a new scipy matrix object, and at 32^2 that costs twice the
+    product it feeds.
     """
 
     def __init__(self, v: VectorField, diffusion: ImplicitDiffusion):
@@ -192,14 +204,6 @@ class SplitStep:
     def S_T(self):
         return self.S.T
 
-    @cached_property
-    def G(self):
-        return advection_weight_gradients(self.v, self.diffusion.dt)
-
-    @cached_property
-    def G_T(self):
-        return [G.T for G in self.G]
-
     def advance(self, rho: np.ndarray) -> np.ndarray:
         out = self.push(rho)
         if not self.diffusion.is_identity:
@@ -213,18 +217,46 @@ class SplitStep:
     def pull(self, mu: np.ndarray) -> np.ndarray:
         return self.S_T @ mu
 
+
+class Sweep:
+    """The m split steps of one forward sweep and the velocity derivative of
+    all of them.
+
+    Per axis k, G[k] is one block-diagonal CSC over the intervals (see
+    `advection_weight_gradients`), so `jvp` and its transpose `vjp` make d
+    sparse products per sweep, not d per interval; each block row keeps its
+    order of summation, so the results are those of the interval alone. The
+    blocks are built on first use, so a sweep that only advances (`simulate`,
+    a rejected line-search trial) never builds them, and G_k^T are cached CSR
+    views of the same arrays.
+    """
+
+    def __init__(self, steps: list[SplitStep]):
+        self.steps = steps
+
+    @cached_property
+    def G(self):
+        fields = [step.v for step in self.steps]
+        return advection_weight_gradients(fields, self.steps[0].diffusion.dt)
+
+    @cached_property
+    def G_T(self):
+        return [G.T for G in self.G]
+
     def jvp(self, rho: np.ndarray, dv: np.ndarray) -> np.ndarray:
-        """Directional derivative of S(v) @ rho in v: sum_k G_k (rho * dv_k)."""
+        """Directional derivative of S(v_n) @ rho_n in v_n for every interval n:
+        sum_k G_k (rho * dv_k), rho of shape (m, s), dv (m, d, s)."""
         out = np.zeros(rho.shape)
-        for G, dv_k in zip(self.G, dv):
-            out += G @ (rho * dv_k)
+        for k, G in enumerate(self.G):
+            out += (G @ (rho * dv[:, k]).ravel()).reshape(rho.shape)
         return out
 
     def vjp(self, rho: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Transpose of `jvp` in dv, rho * G_k^T y per row, added into `out` if given."""
-        out = np.zeros((len(self.G_T), rho.size)) if out is None else out
+        """Transpose of `jvp` in dv, rho * G_k^T y per row, added into `out`
+        (m, d, s) if given."""
+        out = np.zeros((len(rho), len(self.G_T), rho.shape[1])) if out is None else out
         for k, G_T in enumerate(self.G_T):
-            out[k] += rho * (G_T @ y)
+            out[:, k] += rho * (G_T @ y.ravel()).reshape(rho.shape)
         return out
 
 
@@ -241,42 +273,48 @@ def simulate(v: VelocitySeries, rho0: ScalarField, sigma: float) -> DensitySerie
 
 def forward_frames(
     v_values: np.ndarray, rho0_values: np.ndarray, diffusion: ImplicitDiffusion
-) -> tuple[np.ndarray, list[SplitStep]]:
-    """The one forward sweep: frames 0..m, shape (m+1, s), and the m steps."""
-    steps = [SplitStep(VectorField(diffusion.grid, v_n), diffusion) for v_n in v_values]
-    frames = np.empty((len(steps) + 1, diffusion.grid.cell_count))
+) -> tuple[np.ndarray, Sweep]:
+    """The one forward sweep: frames 0..m, shape (m+1, s), and its m steps."""
+    sweep = Sweep([SplitStep(VectorField(diffusion.grid, v_n), diffusion) for v_n in v_values])
+    frames = np.empty((len(sweep.steps) + 1, diffusion.grid.cell_count))
     frames[0] = rho0_values
-    for n, step in enumerate(steps):
+    for n, step in enumerate(sweep.steps):
         frames[n + 1] = step.advance(frames[n])
-    return frames, steps
+    return frames, sweep
 
 
-def linearized_sweep(steps: list[SplitStep], frames: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Derivative of the forward sweep's frames in direction dv (rho_0 fixed)."""
+def linearized_sweep(sweep: Sweep, frames: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Derivative of the forward sweep's frames in direction dv (rho_0 fixed).
+
+    The velocity perturbations of all intervals depend only on the frames, so
+    they are injected from one `jvp` before the recurrence."""
+    inj = sweep.jvp(frames[:-1], dv)
     drho = np.zeros(frames.shape)
-    for n, step in enumerate(steps):
-        drho[n + 1] = step.push(drho[n], step.jvp(frames[n], dv[n]))
+    for n, step in enumerate(sweep.steps):
+        drho[n + 1] = step.push(drho[n], inj[n])
     return drho
 
 
 def adjoint_sweep(
-    steps: list[SplitStep], frames: np.ndarray, sources: Sequence[dict], out: np.ndarray
+    sweep: Sweep, frames: np.ndarray, sources: Sequence[dict], out: np.ndarray
 ) -> np.ndarray:
     """The one adjoint sweep: the transpose of `linearized_sweep`.
 
     The adjoint at frame n is the one pulled back from frame n+1 plus the
     source term `source[n]` of each frame -> array mapping that has one,
-    added in order. Adds the velocity sensitivities to `out`, shape
-    (m, d, s), and returns it.
+    added in order. The recurrence keeps each interval's solved adjoint mu_n,
+    and one `vjp` of all of them then adds the velocity sensitivities to
+    `out`, shape (m, d, s), which is returned.
     """
+    steps = sweep.steps
+    mu = np.empty((len(steps), frames.shape[1]))
     lam = None  # adjoint at frame n+1, as pulled back from frame n+2
     for n in range(len(steps) - 1, -1, -1):
         for source in sources:
             if n + 1 in source:
                 lam = source[n + 1] if lam is None else lam + source[n + 1]
-        mu = steps[n].diffusion.apply(np.zeros(frames.shape[1]) if lam is None else lam)
-        steps[n].vjp(frames[n], mu, out=out[n])
+        mu[n] = steps[n].diffusion.apply(np.zeros(frames.shape[1]) if lam is None else lam)
         if n > 0:
-            lam = steps[n].pull(mu)
-    return out
+            lam = steps[n].pull(mu[n])
+    return sweep.vjp(frames[:-1], mu, out=out)
 

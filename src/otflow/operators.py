@@ -6,20 +6,22 @@ multilinear weights. Columns of the deposit matrix S therefore sum to exactly
 one and no mass can leave the grid (displaced positions are clamped to the
 domain walls).
 
-S and its weight gradients G_k share one ``scipy.sparse.csc_matrix`` pattern:
-column j lists the 2^d corner cells of particle j in ascending row order (an
-axis with one cell lists its cell twice, the second time with weight zero),
-and weights that vanish at the walls or on a cell center stay as explicit
-zeros. The transposes S^T and G_k^T are CSR views of the same arrays.
+S and its weight gradients G_k are ``scipy.sparse.csc_matrix`` on one
+pattern: column j lists the 2^d corner cells of particle j in ascending row
+order (an axis with one cell lists its cell twice, the second time with weight
+zero), and weights that vanish at the walls or on a cell center stay as
+explicit zeros. S is built per interval; each G_k spans a whole sweep, block n
+of its diagonal holding interval n on that pattern offset by n * cell_count.
+The transposes S^T and G_k^T are CSR views of the same arrays.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import CellGrid, VectorField, _corner_cells, _fold_corners, _stencil
+from .grid import VectorField, _corner_cells, _fold_corners, _stencil
 
 if TYPE_CHECKING:
     import scipy.sparse as sparse
@@ -46,19 +48,23 @@ def _deposit_stencil(v: VectorField, dt: float):
     return _stencil(grid, np.clip(coords, -0.5, walls))
 
 
-def _deposit_family(grid: CellGrid, base: np.ndarray, data: list[np.ndarray]) -> list[sparse.csc_matrix]:
-    """CSC matrices on the one deposit pattern, one per (2^d, cell_count) `data`,
-    sharing one `indices` and one `indptr` array (see the module docstring)."""
+def _deposit_matrices(data: list[np.ndarray], indices: np.ndarray) -> list[sparse.csc_matrix]:
+    """Block-diagonal CSC matrices on one deposit pattern, one per array of
+    `data`, each of the shape (m, s, 2^d) of the `indices` they share with one
+    `indptr`: block n holds the corner rows of the s particles of interval n,
+    offset by n * s (see the module docstring)."""
     # imported here: it is half of a cold start, and only the solves need it
     import scipy.sparse as sparse
 
-    s = grid.cell_count
-    rows = _corner_cells(grid, base)
+    size = indices.shape[0] * indices.shape[1]
+    indptr = np.arange(0, indices.size + 1, indices.shape[2], dtype=indices.dtype)
+    flat = indices.ravel()
+    return [sparse.csc_matrix((d.ravel(), flat, indptr), shape=(size, size)) for d in data]
+
+
+def _index_dtype(nnz: int) -> type:
     # scipy's own choice; any other dtype makes each matrix cast a private copy
-    index_dtype = np.int32 if rows.size < 2**31 else np.int64
-    indices = rows.astype(index_dtype).ravel(order="F")
-    indptr = np.arange(0, rows.size + 1, len(rows), dtype=index_dtype)
-    return [sparse.csc_matrix((d.ravel(order="F"), indices, indptr), shape=(s, s)) for d in data]
+    return np.int32 if nnz < 2**31 else np.int64
 
 
 def advection_interp_matrix(v: VectorField, dt: float) -> sparse.csc_matrix:
@@ -69,25 +75,35 @@ def advection_interp_matrix(v: VectorField, dt: float) -> sparse.csc_matrix:
     """
     base, frac, _ = _deposit_stencil(v, dt)
     weights = _fold_corners(zip(1.0 - frac, frac), np.multiply, np.ones(v.grid.cell_count))
-    return _deposit_family(v.grid, base, [weights])[0]
+    rows = _corner_cells(v.grid, base)
+    return _deposit_matrices([weights.T[None]], rows.T.astype(_index_dtype(rows.size))[None])[0]
 
 
-def advection_weight_gradients(v: VectorField, dt: float) -> list[sparse.csc_matrix]:
-    """Derivative of the deposit weights with respect to each velocity component.
+def advection_weight_gradients(fields: Sequence[VectorField], dt: float) -> list[sparse.csc_matrix]:
+    """Derivative of the deposit weights of a sweep with respect to each velocity component.
 
-    Returns one matrix G_k per axis with G_k[i, j] = d S[i, j] / d v_k[j],
-    holding the deposit-cell assignment of each particle fixed (weights are
-    piecewise linear in the displacement; at a wall the weight saturates and
-    the derivative is zero). The directional derivative of S(v) @ rho in
-    direction dv is then sum_k G_k @ (rho * dv_k).
+    `fields` holds the velocity v_n of each of the m intervals of a sweep.
+    Returns one block-diagonal matrix G_k per axis, of order m * s, whose
+    block n is G_k(v_n)[i, j] = d S(v_n)[i, j] / d v_n,k[j], holding the
+    deposit-cell assignment of each particle fixed (weights are piecewise
+    linear in the displacement; at a wall the weight saturates and the
+    derivative is zero). The directional derivative of S(v_n) @ rho_n in
+    direction dv_n is then block n of sum_k G_k @ (rho * dv_k), with rho and
+    dv_k stacked over the intervals. The weights are written straight into
+    the blocks, so no per-interval copy is ever made.
     """
-    grid = v.grid
-    base, frac, live = _deposit_stencil(v, dt)
-    factors = list(zip(1.0 - frac, frac))
-    data = []
-    for k in range(grid.ndim):
-        # axis k contributes the sign of d frac_k, every other axis its weight
-        signed = factors[:k] + [(-1.0, 1.0)] + factors[k + 1 :]
-        scale = (dt / grid.spacing[k]) * live[k]
-        data.append(_fold_corners(signed, np.multiply, np.ones(grid.cell_count)) * scale)
-    return _deposit_family(grid, base, data)
+    grid = fields[0].grid
+    s, corners = grid.cell_count, 2**grid.ndim
+    indices = np.empty((len(fields), s, corners), dtype=_index_dtype(len(fields) * s * corners))
+    # one array per axis: scipy copies a data array that is a view of a larger one
+    data = [np.empty((len(fields), s, corners)) for _ in range(grid.ndim)]
+    for n, v in enumerate(fields):
+        base, frac, live = _deposit_stencil(v, dt)
+        np.add(_corner_cells(grid, base).T, n * s, out=indices[n], casting="unsafe")
+        factors = list(zip(1.0 - frac, frac))
+        for k in range(grid.ndim):
+            # axis k contributes the sign of d frac_k, every other axis its weight
+            signed = factors[:k] + [(-1.0, 1.0)] + factors[k + 1 :]
+            scale = (dt / grid.spacing[k]) * live[k]
+            np.multiply(_fold_corners(signed, np.multiply, np.ones(s)), scale, out=data[k][n].T)
+    return _deposit_matrices(data, indices)

@@ -31,7 +31,7 @@ from .errors import GridMismatchError
 from .forward import (
     DensitySeries,
     ImplicitDiffusion,
-    SplitStep,
+    Sweep,
     TimeGrid,
     VelocitySeries,
     adjoint_sweep,
@@ -195,17 +195,17 @@ class ObjectiveValue(NamedTuple):
     densities: DensitySeries
 
 
-def _energy_weight(steps: list[SplitStep]) -> float:
+def _energy_weight(sweep: Sweep) -> float:
     """cell_volume * dt, the quadrature weight of the transport energy."""
-    return steps[0].v.grid.cell_volume * steps[0].diffusion.dt
+    return sweep.steps[0].v.grid.cell_volume * sweep.steps[0].diffusion.dt
 
 
 def _objective_terms(
-    v_values: np.ndarray, frames: np.ndarray, steps: list[SplitStep], obs: ObservationSet,
+    v_values: np.ndarray, frames: np.ndarray, sweep: Sweep, obs: ObservationSet,
     alpha: float,
 ) -> tuple[float, float, float]:
     speed_sq = (v_values**2).sum(axis=1)  # (m, s)
-    energy = 0.5 * _energy_weight(steps) * float((frames[:-1] * speed_sq).sum())
+    energy = 0.5 * _energy_weight(sweep) * float((frames[:-1] * speed_sq).sum())
     residual = 0.0
     for idx, entry in obs.interior().items():
         r = frames[idx] - entry.observed.values
@@ -215,23 +215,23 @@ def _objective_terms(
 
 
 def _gradient_values(
-    v_values: np.ndarray, frames: np.ndarray, steps: list[SplitStep], obs: ObservationSet,
+    v_values: np.ndarray, frames: np.ndarray, sweep: Sweep, obs: ObservationSet,
     alpha: float,
 ) -> np.ndarray:
     """Adjoint gradient. The sweep's sources are the energy's density
     sensitivity at frames 1..m-1 and the weighted misfit residuals."""
-    coef = _energy_weight(steps)
-    energy = {n: 0.5 * coef * (v_values[n] ** 2).sum(axis=0) for n in range(1, len(steps))}
+    coef = _energy_weight(sweep)
+    energy = {n: 0.5 * coef * (v_values[n] ** 2).sum(axis=0) for n in range(1, len(sweep.steps))}
     misfit = {
         n: 2.0 * alpha * e.weight * (frames[n] - e.observed.values)
         for n, e in obs.interior().items()
     }
     g = coef * frames[:-1][:, None, :] * v_values
-    return adjoint_sweep(steps, frames, (energy, misfit), out=g)
+    return adjoint_sweep(sweep, frames, (energy, misfit), out=g)
 
 
 def _gn_hessian_apply(
-    dv: np.ndarray, frames: np.ndarray, steps: list[SplitStep], obs: ObservationSet,
+    dv: np.ndarray, frames: np.ndarray, sweep: Sweep, obs: ObservationSet,
     alpha: float,
 ) -> np.ndarray:
     """Gauss-Newton curvature product: misfit J^T W J plus the diagonal energy block.
@@ -239,10 +239,10 @@ def _gn_hessian_apply(
     Cross terms through the density's dependence on v inside the energy are
     dropped, which keeps the operator symmetric positive semidefinite.
     """
-    drho = linearized_sweep(steps, frames, dv)
+    drho = linearized_sweep(sweep, frames, dv)
     misfit = {n: 2.0 * alpha * e.weight * drho[n] for n, e in obs.interior().items()}
-    out = _energy_weight(steps) * frames[:-1][:, None, :] * dv
-    return adjoint_sweep(steps, frames, (misfit,), out=out)
+    out = _energy_weight(sweep) * frames[:-1][:, None, :] * dv
+    return adjoint_sweep(sweep, frames, (misfit,), out=out)
 
 
 def _gn_step(hess_apply: Callable[[np.ndarray], np.ndarray], grad: np.ndarray) -> np.ndarray:
@@ -290,15 +290,15 @@ def _sweep(v: VelocitySeries, obs: ObservationSet, config: SolverConfig):
 
 def objective(v: VelocitySeries, obs: ObservationSet, config: SolverConfig) -> ObjectiveValue:
     """Evaluate the transport energy, the data misfit, and their sum at v."""
-    frames, steps = _sweep(v, obs, config)
-    total, energy, misfit = _objective_terms(v.values, frames, steps, obs, config.alpha)
+    frames, sweep = _sweep(v, obs, config)
+    total, energy, misfit = _objective_terms(v.values, frames, sweep, obs, config.alpha)
     return ObjectiveValue(total, energy, misfit, DensitySeries(v.grid, v.time_grid, frames))
 
 
 def gradient(v: VelocitySeries, obs: ObservationSet, config: SolverConfig) -> VelocitySeries:
     """Adjoint gradient of the objective with respect to the velocity trajectory."""
-    frames, steps = _sweep(v, obs, config)
-    values = _gradient_values(v.values, frames, steps, obs, config.alpha)
+    frames, sweep = _sweep(v, obs, config)
+    values = _gradient_values(v.values, frames, sweep, obs, config.alpha)
     return VelocitySeries(v.grid, v.time_grid, values)
 
 
@@ -313,9 +313,9 @@ def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
     diffusion = ImplicitDiffusion(grid, config.sigma, time_grid.dt)
 
     v = np.zeros((time_grid.steps, grid.ndim, grid.cell_count))
-    frames, steps = forward_frames(v, rho0, diffusion)
-    phi, energy, misfit = _objective_terms(v, frames, steps, obs, alpha)
-    g = _gradient_values(v, frames, steps, obs, alpha)
+    frames, sweep = forward_frames(v, rho0, diffusion)
+    phi, energy, misfit = _objective_terms(v, frames, sweep, obs, alpha)
+    g = _gradient_values(v, frames, sweep, obs, alpha)
     gnorm = float(np.linalg.norm(g))
     gnorm0 = gnorm
     records = [IterationRecord(0, phi, energy, misfit, gnorm, 0.0)]
@@ -323,7 +323,7 @@ def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
     termination = "gradient" if gnorm0 == 0.0 else "max_iters"
     if termination == "max_iters":
         for it in range(1, config.max_gn_iters + 1):
-            direction = _gn_step(lambda dv: _gn_hessian_apply(dv, frames, steps, obs, alpha), g)
+            direction = _gn_step(lambda dv: _gn_hessian_apply(dv, frames, sweep, obs, alpha), g)
             slope = float((g * direction).sum())
             if slope >= 0.0:
                 direction = -g
@@ -344,9 +344,9 @@ def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
                 termination = "line_search"
                 break
             v = trial_v
-            frames, steps = trial
+            frames, sweep = trial
             phi, energy, misfit = trial_phi, trial_e, trial_m
-            g = _gradient_values(v, frames, steps, obs, alpha)
+            g = _gradient_values(v, frames, sweep, obs, alpha)
             gnorm = float(np.linalg.norm(g))
             records.append(IterationRecord(it, phi, energy, misfit, gnorm, t))
             if gnorm <= config.stop_tolerance * gnorm0:

@@ -23,7 +23,6 @@ __all__ = [
     "SynthSpec",
     "gaussian_blob",
     "initial_density",
-    "analytic_evolution",
     "true_density",
     "true_velocity_series",
     "add_noise",
@@ -178,50 +177,38 @@ def initial_density(spec: SynthSpec) -> ScalarField:
     return _rescaled(grid, raw, spec.total_mass())
 
 
-def analytic_evolution(spec: SynthSpec, t: float) -> ScalarField:
-    """Closed-form density at time t for the constant-velocity model.
-
-    Each blob's mean drifts with the velocity and its variance grows by
-    2 * sigma_true^2 * t; the discrete sum is renormalized to the total mass.
-    """
-    if spec.velocity.kind != "constant":
-        raise ValueError("closed-form evolution requires a constant velocity model")
-    grid = spec.grid
-    drift = np.asarray(spec.velocity.value) * t
-    moved = tuple(
-        Blob(tuple(np.asarray(b.center) + drift), b.width, b.mass) for b in spec.blobs
-    )
-    widths = [math.sqrt(b.width**2 + 2.0 * spec.sigma_true**2 * t) for b in spec.blobs]
-    raw = _mixture_values(grid, grid.cell_centers(), moved, widths)
-    return _rescaled(grid, raw, spec.total_mass())
-
-
 def true_density(spec: SynthSpec, t: float) -> ScalarField:
     """Exact density at time t for any supported velocity model.
 
-    Rotation and shear are divergence free, so the density is the initial
-    mixture pulled back along the inverse flow map (diffusion must be zero
-    for these two models).
+    Under a constant velocity each blob's mean drifts with the velocity and
+    its variance grows by 2 * sigma_true^2 * t. Rotation and shear are
+    divergence free, so the density is the initial mixture pulled back along
+    the inverse flow map (diffusion must be zero for these two models). The
+    discrete sum is renormalized to the total mass.
     """
-    if spec.velocity.kind == "constant":
-        return analytic_evolution(spec, t)
-    if spec.sigma_true != 0.0:
-        raise ValueError(
-            f"{spec.velocity.kind} model has no closed form with diffusion"
-        )
     grid = spec.grid
-    pts = grid.cell_centers().copy()
-    c = np.asarray(spec.velocity.center)
-    if spec.velocity.kind == "rotation":
-        angle = -spec.velocity.rate * t
-        cos, sin = math.cos(angle), math.sin(angle)
-        dx = pts[:, 0] - c[0]
-        dy = pts[:, 1] - c[1]
-        pts[:, 0] = c[0] + cos * dx - sin * dy
-        pts[:, 1] = c[1] + sin * dx + cos * dy
-    else:  # shear
-        pts[:, 0] = pts[:, 0] - spec.velocity.rate * t * (pts[:, 1] - c[1])
-    raw = _mixture_values(grid, pts, spec.blobs)
+    if spec.velocity.kind == "constant":
+        drift = np.asarray(spec.velocity.value) * t
+        moved = tuple(
+            Blob(tuple(np.asarray(b.center) + drift), b.width, b.mass) for b in spec.blobs
+        )
+        widths = [math.sqrt(b.width**2 + 2.0 * spec.sigma_true**2 * t) for b in spec.blobs]
+        raw = _mixture_values(grid, grid.cell_centers(), moved, widths)
+    elif spec.sigma_true != 0.0:
+        raise ValueError(f"{spec.velocity.kind} model has no closed form with diffusion")
+    else:
+        pts = grid.cell_centers().copy()
+        c = np.asarray(spec.velocity.center)
+        if spec.velocity.kind == "rotation":
+            angle = -spec.velocity.rate * t
+            cos, sin = math.cos(angle), math.sin(angle)
+            dx = pts[:, 0] - c[0]
+            dy = pts[:, 1] - c[1]
+            pts[:, 0] = c[0] + cos * dx - sin * dy
+            pts[:, 1] = c[1] + sin * dx + cos * dy
+        else:  # shear
+            pts[:, 0] = pts[:, 0] - spec.velocity.rate * t * (pts[:, 1] - c[1])
+        raw = _mixture_values(grid, pts, spec.blobs)
     return _rescaled(grid, raw, spec.total_mass())
 
 

@@ -8,9 +8,9 @@ from otflow.synth import (
     Blob,
     SynthSpec,
     VelocityModel,
-    analytic_evolution,
     gaussian_blob,
     initial_density,
+    true_density,
 )
 
 
@@ -89,7 +89,7 @@ def translating_pair(n: int = 32, shift_cells: int = 3, width: float = 0.125):
         blobs=(Blob((0.42, 0.5), width, 1.0),),
         velocity=VelocityModel("constant", value=(shift_cells / n, 0.0)),
     )
-    return spec, initial_density(spec), analytic_evolution(spec, 1.0)
+    return spec, initial_density(spec), true_density(spec, 1.0)
 
 
 @pytest.fixture

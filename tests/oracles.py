@@ -1,12 +1,13 @@
 """Independent oracles that the tests check the package against."""
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
 
-from otflow.forward import ImplicitDiffusion, VelocitySeries
+from otflow.forward import ImplicitDiffusion, Sweep, VelocitySeries
 from otflow.grid import CellGrid
+from otflow.operators import advection_weight_gradients
 
 
 def assemble_diffusion_operator(grid: CellGrid, sigma: float) -> sparse.csr_matrix:
@@ -54,6 +55,42 @@ def tensordot_diffusion(diffusion: ImplicitDiffusion, rhs: np.ndarray) -> np.nda
     for k, C in enumerate(diffusion.bases):
         x = np.moveaxis(np.tensordot(C.T, x, axes=(1, k)), 0, k)
     return x.ravel(order="F")
+
+
+def _interval_gradients(sweep: Sweep) -> list[list[sparse.csc_matrix]]:
+    """The G_k of each interval on its own, as one-interval sweeps build them."""
+    return [advection_weight_gradients([step.v], step.diffusion.dt) for step in sweep.steps]
+
+
+def interval_linearized_sweep(sweep: Sweep, frames: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """`linearized_sweep` interval by interval: each interval's velocity
+    derivative is d sparse products of its own G_k, made inside the recurrence."""
+    drho = np.zeros(frames.shape)
+    for n, (step, grads) in enumerate(zip(sweep.steps, _interval_gradients(sweep))):
+        inj = np.zeros(frames.shape[1])
+        for G, dv_k in zip(grads, dv[n]):
+            inj += G @ (frames[n] * dv_k)
+        drho[n + 1] = step.push(drho[n], inj)
+    return drho
+
+
+def interval_adjoint_sweep(
+    sweep: Sweep, frames: np.ndarray, sources: Sequence[dict], out: np.ndarray
+) -> np.ndarray:
+    """`adjoint_sweep` interval by interval: each interval's sensitivities are
+    added from its own G_k^T as soon as its adjoint is solved."""
+    steps, grads = sweep.steps, _interval_gradients(sweep)
+    lam = None
+    for n in range(len(steps) - 1, -1, -1):
+        for source in sources:
+            if n + 1 in source:
+                lam = source[n + 1] if lam is None else lam + source[n + 1]
+        mu = steps[n].diffusion.apply(np.zeros(frames.shape[1]) if lam is None else lam)
+        for k, G in enumerate(grads[n]):
+            out[n, k] += frames[n] * (G.T @ mu)
+        if n > 0:
+            lam = steps[n].pull(mu)
+    return out
 
 
 def finite_difference_gradient(

@@ -32,8 +32,8 @@ from otflow.synth import (
     SynthSpec,
     VelocityModel,
     add_noise,
-    analytic_evolution,
     initial_density,
+    true_density,
     true_velocity_series,
 )
 from otflow.cli import main as cli_main
@@ -125,7 +125,7 @@ def test_c02_forward_gaussian_oracle():
         )
         tg = TimeGrid.unit_horizon(steps)
         got = simulate(true_velocity_series(spec, tg), initial_density(spec), 0.01)
-        want = analytic_evolution(spec, 1.0)
+        want = true_density(spec, 1.0)
         return float(
             np.linalg.norm(got.values[-1] - want.values) / np.linalg.norm(want.values)
         )

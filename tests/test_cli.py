@@ -218,6 +218,25 @@ class TestFpaCommand:
         assert "error in stage 'load'" in err
         assert f"'{key}'" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dt", 0.0), ("dims", [8, -8]), ("time_steps", 0), ("spacing", [0.1, 0.0])],
+        ids=["dt-zero", "dims-negative", "no-steps", "spacing-zero"],
+    )
+    def test_out_of_range_velocity_manifest_names_path_and_key(
+        self, tmp_path, capsys, key, value
+    ):
+        _channel_outputs(tmp_path)
+        path = tmp_path / "out" / "velocity_manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        cfg = write_config(tmp_path)
+        assert run("fpa", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'load'" in err
+        assert f"{path}: key '{key}' must be" in err
+
     def test_rerun_byte_identical(self, tmp_path):
         _channel_outputs(tmp_path)
         cfg = write_config(tmp_path, qb_threshold=0.3)

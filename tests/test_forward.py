@@ -7,8 +7,10 @@ from otflow.forward import (
     DensitySeries,
     ImplicitDiffusion,
     SplitStep,
+    Sweep,
     TimeGrid,
     VelocitySeries,
+    adjoint_sweep,
     forward_frames,
     linearized_sweep,
     simulate,
@@ -18,13 +20,18 @@ from otflow.synth import (
     Blob,
     SynthSpec,
     VelocityModel,
-    analytic_evolution,
     initial_density,
+    true_density,
     true_velocity_series,
 )
 
 
-from oracles import assemble_diffusion_operator, tensordot_diffusion
+from oracles import (
+    assemble_diffusion_operator,
+    interval_adjoint_sweep,
+    interval_linearized_sweep,
+    tensordot_diffusion,
+)
 from conftest import gradient_check_instance, philox, smooth_velocity
 
 
@@ -163,7 +170,7 @@ class TestForward:
         )
         tg = TimeGrid.unit_horizon(6)
         got = simulate(true_velocity_series(spec, tg), initial_density(spec), 0.01)
-        want = analytic_evolution(spec, 1.0)
+        want = true_density(spec, 1.0)
         rel = np.linalg.norm(got.values[-1] - want.values) / np.linalg.norm(want.values)
         assert rel < 0.05
 
@@ -202,15 +209,16 @@ class TestSplitStep:
         dt = 0.25
         v = VectorField(g, smooth_velocity(g, 3, scale=0.3))
         step = SplitStep(v, ImplicitDiffusion(g, 0.2, dt))
+        sweep = Sweep([step])
         D = step.diffusion.apply
-        rho = rng.uniform(0.5, 1.5, g.cell_count)
+        rho = rng.uniform(0.5, 1.5, (1, g.cell_count))
         x, y = rng.standard_normal((2, g.cell_count))
-        dv = rng.standard_normal((g.ndim, g.cell_count))
+        dv = rng.standard_normal((1, g.ndim, g.cell_count))
         # the solve D is symmetric: y -> pull(D y) is the transpose of push
         assert x @ step.pull(D(y)) == pytest.approx(step.push(x) @ y, rel=1e-12)
-        assert (dv * step.vjp(rho, y)).sum() == pytest.approx(step.jvp(rho, dv) @ y, rel=1e-12)
+        assert (dv * sweep.vjp(rho, y)).sum() == pytest.approx(sweep.jvp(rho, dv)[0] @ y, rel=1e-12)
         # the transposes are views of the matrices, not copies
-        for M, M_T in zip([step.S, *step.G], [step.S_T, *step.G_T], strict=True):
+        for M, M_T in zip([step.S, *sweep.G], [step.S_T, *sweep.G_T], strict=True):
             assert np.shares_memory(M_T.data, M.data)
 
     @pytest.mark.parametrize("seed,sigma", [(0, 0.0), (1, 0.01)])
@@ -226,3 +234,31 @@ class TestSplitStep:
         fd = (plus - minus) / (2 * eps)
         assert np.array_equal(got[0], np.zeros(v.grid.cell_count))
         np.testing.assert_allclose(got, fd, rtol=0, atol=1e-7 * np.abs(fd).max())
+
+
+class TestBatchedSweeps:
+    @pytest.mark.parametrize("steps", [1, 4])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize(
+        "dims", [(17,), (12, 20), (4, 1, 6), (8, 12, 20)], ids=["17", "12x20", "4x1x6", "8x12x20"]
+    )
+    def test_bitwise_equal_to_interval_reference(self, dims, sigma, steps):
+        g = CellGrid(list(dims), [1.0 / n for n in dims])
+        tg = TimeGrid.unit_horizon(steps)
+        rng = philox(31)
+        # displacements of up to 1.5 cells push many particles past the walls
+        cells = rng.uniform(-1.5, 1.5, (steps, g.ndim, g.cell_count))
+        v = cells * (np.asarray(g.spacing)[:, None] / tg.dt)
+        rho0 = rng.uniform(0.0, 1.0, g.cell_count)
+        dv = rng.standard_normal(v.shape)
+        frames, sweep = forward_frames(v, rho0, ImplicitDiffusion(g, sigma, tg.dt))
+        got = linearized_sweep(sweep, frames, dv)
+        assert np.array_equal(got, interval_linearized_sweep(sweep, frames, dv))
+        # two source mappings, one of them on every frame, added in order
+        sources = (
+            {n: rng.standard_normal(g.cell_count) for n in range(1, steps + 1)},
+            {steps: got[steps]},
+        )
+        start = rng.standard_normal(v.shape)
+        want = interval_adjoint_sweep(sweep, frames, sources, start.copy())
+        assert np.array_equal(adjoint_sweep(sweep, frames, sources, start.copy()), want)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
-from otflow.forward import ImplicitDiffusion, SplitStep
+from otflow.forward import ImplicitDiffusion, SplitStep, Sweep
 from otflow.grid import CellGrid, ScalarField, VectorField
 from otflow.operators import _deposit_stencil, advection_interp_matrix, advection_weight_gradients
 
@@ -151,7 +151,7 @@ class TestDepositPattern:
         x = rng.standard_normal(grid.cell_count)
         y = rng.standard_normal(grid.cell_count)
         S = advection_interp_matrix(v, dt)
-        grads = advection_weight_gradients(v, dt)
+        grads = advection_weight_gradients([v], dt)
         S_ref, grads_ref = _reference_deposit(grid, v, dt)
         assert np.array_equal(S @ x, S_ref @ x)
         assert np.array_equal(S.T @ y, S_ref.T.tocsr() @ y)
@@ -164,20 +164,25 @@ class TestDepositPattern:
             assert np.shares_memory(G.indices, grads[0].indices)
 
 
+def _one_step_jvp(v, dt, rho, dv):
+    """The velocity derivative of S(v) @ rho in direction dv, from a one-interval sweep."""
+    sweep = Sweep([SplitStep(v, ImplicitDiffusion(v.grid, 0.0, dt))])
+    return sweep.jvp(rho[None], dv[None])[0]
+
+
 class TestWeightGradients:
     def test_zero_direction_gives_zero(self):
         g = CellGrid([5], [1.0])
         rho = ScalarField(g, np.ones(5))
         v = VectorField.constant(g, [0.3])
-        step = SplitStep(v, ImplicitDiffusion(g, 0.0, 0.5))
-        out = step.jvp(rho.values, VectorField.zeros(g).components)
+        out = _one_step_jvp(v, 0.5, rho.values, VectorField.zeros(g).components)
         np.testing.assert_allclose(out, 0.0)
 
     def test_mid_cell_weights_are_inverse_spacing(self):
         # particle sits mid-way between two centers: dw/d(displacement) = -1/h, +1/h
         g = CellGrid([4], [2.0])
         v = VectorField(g, np.array([[0.0, 1.0, 0.0, 0.0]]))  # cell 1 lands mid-cell
-        G = advection_weight_gradients(v, 1.0)[0]
+        G = advection_weight_gradients([v], 1.0)[0]
         col = G.toarray()[:, 1]
         np.testing.assert_allclose(col, [0, -0.5, 0.5, 0])
 
@@ -194,14 +199,14 @@ class TestWeightGradients:
         S0 = advection_interp_matrix(v, dt)
         S1 = advection_interp_matrix(VectorField(g, v.components + eps * dv.components), dt)
         fd = (S1 @ rho.values - S0 @ rho.values) / eps
-        got = SplitStep(v, ImplicitDiffusion(g, 0.0, dt)).jvp(rho.values, dv.components)
+        got = _one_step_jvp(v, dt, rho.values, dv.components)
         np.testing.assert_allclose(got, fd, atol=1e-6 * np.abs(fd).max())
 
     def test_adjoint_identity(self):
         g = CellGrid([5, 4], [0.5, 0.5])
         rng = philox(9)
         v = VectorField(g, 0.08 * rng.standard_normal((2, g.cell_count)))
-        grads = advection_weight_gradients(v, 0.3)
+        grads = advection_weight_gradients([v], 0.3)
         x = rng.standard_normal(g.cell_count)
         y = rng.standard_normal(g.cell_count)
         for G in grads:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
+import otflow.forward
+import otflow.solver
 from otflow.errors import GridMismatchError
 from otflow.forward import (
     DensitySeries,
@@ -8,6 +11,8 @@ from otflow.forward import (
     TimeGrid,
     VelocitySeries,
     forward_frames,
+    linearized_sweep,
+    simulate,
 )
 from otflow.grid import CellGrid, ScalarField
 from otflow.solver import (
@@ -24,7 +29,7 @@ from otflow.solver import (
 )
 from otflow.synth import add_noise, gaussian_blob
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, interval_adjoint_sweep, interval_linearized_sweep
 from conftest import gradient_check_instance, philox, translating_pair
 
 
@@ -145,6 +150,67 @@ class TestGaussNewtonProduct:
         hy = _gn_hessian_apply(y, frames, steps, obs, cfg.alpha)
         assert (x * hy).sum() == pytest.approx((hx * y).sum(), rel=1e-12)
         assert (hx * x).sum() >= 0.0
+
+
+def _blob_problem(dims, steps):
+    """Two blobs apart, observed at the first and the last frame."""
+    grid = CellGrid(list(dims), [1.0 / n for n in dims])
+    rho0 = gaussian_blob(grid, (0.4,) * grid.ndim, 0.2, 1.0)
+    target = gaussian_blob(grid, (0.55,) * grid.ndim, 0.2, 1.0)
+    config = SolverConfig(sigma=0.05, alpha=10.0, time_steps=steps, max_gn_iters=3)
+    return rho0, target, config
+
+
+class TestBatchedSweeps:
+    @pytest.mark.parametrize("dims, steps", [((12, 10), 4), ((6, 5, 4), 3)], ids=["2d", "3d"])
+    def test_gn_product_makes_two_sparse_products_per_interval_and_axis(
+        self, monkeypatch, dims, steps
+    ):
+        rho0, target, config = _blob_problem(dims, steps)
+        grid = rho0.grid
+        rng = philox(12)
+        v = 0.2 * rng.standard_normal((steps, grid.ndim, grid.cell_count))
+        dv = rng.standard_normal(v.shape)
+        frames, sweep = forward_frames(v, rho0.values, ImplicitDiffusion(grid, config.sigma, 1.0 / steps))
+        calls = []
+        for cls in (sparse.csc_matrix, sparse.csr_matrix):
+            product = cls._matmul_vector
+            monkeypatch.setattr(
+                cls, "_matmul_vector", lambda M, x, product=product: calls.append(M) or product(M, x)
+            )
+        _gn_hessian_apply(dv, frames, sweep, _pair_obs(rho0, target, steps), config.alpha)
+        # m pushes, m - 1 pulls, one jvp and one vjp product per axis
+        assert len(calls) == 2 * steps + 2 * grid.ndim - 1
+
+    def test_sweeps_that_only_advance_build_no_derivatives(self, monkeypatch):
+        rho0, _, config = _blob_problem((12, 10), 4)
+        grid, tg = rho0.grid, TimeGrid.unit_horizon(4)
+        builds = []
+        build = otflow.forward.advection_weight_gradients
+        monkeypatch.setattr(
+            otflow.forward, "advection_weight_gradients",
+            lambda *args: builds.append(args) or build(*args),
+        )
+        v = 0.2 * philox(13).standard_normal((4, grid.ndim, grid.cell_count))
+        simulate(VelocitySeries(grid, tg, v), rho0, config.sigma)
+        frames, sweep = forward_frames(v, rho0.values, ImplicitDiffusion(grid, config.sigma, tg.dt))
+        assert builds == []
+        linearized_sweep(sweep, frames, v)
+        linearized_sweep(sweep, frames, v)
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("dims, steps", [((12, 10), 4), ((6, 5, 4), 3)], ids=["2d", "3d"])
+    def test_solves_byte_equal_with_interval_sweeps(self, monkeypatch, dims, steps):
+        rho0, target, config = _blob_problem(dims, steps)
+        obs = _pair_obs(rho0, target, steps)
+        batched = [solve(obs, config), solve_baseline(rho0, target, config)]
+        monkeypatch.setattr(otflow.solver, "linearized_sweep", interval_linearized_sweep)
+        monkeypatch.setattr(otflow.solver, "adjoint_sweep", interval_adjoint_sweep)
+        reference = [solve(obs, config), solve_baseline(rho0, target, config)]
+        for got, want in zip(batched, reference):
+            assert len(got.diagnostics) == 4  # three GN iterations
+            assert got.velocity.values.tobytes() == want.velocity.values.tobytes()
+            assert got.densities.values.tobytes() == want.densities.values.tobytes()
 
 
 class TestSolve:

@@ -8,7 +8,6 @@ from otflow.synth import (
     SynthSpec,
     VelocityModel,
     add_noise,
-    analytic_evolution,
     gaussian_blob,
     initial_density,
     true_density,
@@ -58,13 +57,13 @@ class TestAnalyticEvolution:
     def test_t0_equals_initial(self):
         spec = _constant_spec(sigma=0.02)
         np.testing.assert_allclose(
-            analytic_evolution(spec, 0.0).values, initial_density(spec).values
+            true_density(spec, 0.0).values, initial_density(spec).values
         )
 
     def test_static_when_no_motion_no_diffusion(self):
         spec = _constant_spec(sigma=0.0, v=(0.0, 0.0))
         np.testing.assert_allclose(
-            analytic_evolution(spec, 0.7).values, initial_density(spec).values
+            true_density(spec, 0.7).values, initial_density(spec).values
         )
 
     def test_second_moment_grows_by_2_sigma2_t(self):
@@ -79,18 +78,9 @@ class TestAnalyticEvolution:
             return (w[:, None] * (centers - mean) ** 2).sum(axis=0)
 
         m0 = second_moment(initial_density(spec))
-        mt = second_moment(analytic_evolution(spec, t))
+        mt = second_moment(true_density(spec, t))
         growth = mt - m0
         np.testing.assert_allclose(growth, 2 * sigma**2 * t, rtol=0.02)
-
-    def test_rejects_non_constant_model(self):
-        spec = SynthSpec(
-            dims=(8, 8), spacing=(0.125, 0.125),
-            blobs=(Blob((0.5, 0.5), 0.1, 1.0),),
-            velocity=VelocityModel("rotation", center=(0.5, 0.5), rate=1.0),
-        )
-        with pytest.raises(ValueError):
-            analytic_evolution(spec, 0.5)
 
 
 class TestTrueDensity:
