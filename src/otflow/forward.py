@@ -20,6 +20,7 @@ product share.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -116,7 +117,8 @@ class ImplicitDiffusion:
 
     The per-axis DCT-II bases diagonalize A exactly: mode j of an axis with n
     cells and spacing h has eigenvalue -sigma^2 * 4 sin^2(pi j / 2n) / h^2.
-    With sigma = 0 the solve degenerates to the identity and is skipped.
+    With sigma = 0 the solve degenerates to the identity and is skipped: the
+    input itself is returned, so no caller may write into the result.
 
     Each per-axis transform is one BLAS product: the basis (or its transposed
     view) times x with axis k moved to the front, reshaped to an (n_k, s / n_k)
@@ -156,13 +158,23 @@ class ImplicitDiffusion:
             eig = eig + dt * sigma**2 * 4.0 * np.sin(np.pi * j / (2 * n)) ** 2 / h**2
         self.eigenvalues = eig
 
+    def astype(self, dtype) -> "ImplicitDiffusion":
+        """This solve with its DCT bases and eigenvalues cast to dtype."""
+        cast = copy.copy(self)
+        if not self.is_identity:
+            cast.bases = [C.astype(dtype) for C in self.bases]
+            cast.bases_T = [C.T for C in cast.bases]
+            cast.eigenvalues = self.eigenvalues.astype(dtype)
+        return cast
+
     def apply(self, rhs: np.ndarray) -> np.ndarray:
+        """The solve, in the dtype of rhs and of the bases."""
         if self.is_identity:
-            return np.array(rhs, dtype=float, copy=True)
+            return rhs
         # Both loops are written out, not a helper, so that each intermediate is
         # freed once the next exists: a helper's argument kept the quotient
         # alive, and at 48^3 the fresh pages that cost made apply 12 % slower.
-        x = np.asarray(rhs, dtype=float).reshape(self.grid.dims, order="F")
+        x = rhs.reshape(self.grid.dims, order="F")
         for C, (front, matrix, stacked, back) in zip(self.bases, self.axis_plans):
             x = x if front is None else x.transpose(front)
             x = np.dot(C, x if matrix is None else x.reshape(matrix))
@@ -218,6 +230,11 @@ class SplitStep:
         return self.S_T @ mu
 
 
+def _cast(M, dtype):
+    """The compressed matrix M with its data cast to dtype, on M's own index arrays."""
+    return type(M)((M.data.astype(dtype), M.indices, M.indptr), shape=M.shape, copy=False)
+
+
 class Sweep:
     """The m split steps of one forward sweep and the velocity derivative of
     all of them.
@@ -229,10 +246,24 @@ class Sweep:
     blocks are built on first use, so a sweep that only advances (`simulate`,
     a rejected line-search trial) never builds them, and G_k^T are cached CSR
     views of the same arrays.
+
+    The products allocate in the dtype of their inputs, so the float32 cast
+    of a sweep (`astype`) runs the same code on float32 frames and directions.
     """
 
     def __init__(self, steps: list[SplitStep]):
         self.steps = steps
+
+    def astype(self, dtype) -> "Sweep":
+        """This sweep's linearisation, each S and G_k and the diffusion solve,
+        cast to dtype. A cast matrix shares its index arrays with the original,
+        so only the weights are copied."""
+        diffusion = self.steps[0].diffusion.astype(dtype)
+        sweep = Sweep([SplitStep(step.v, diffusion) for step in self.steps])
+        for cast, step in zip(sweep.steps, self.steps):
+            cast.S = _cast(step.S, dtype)
+        sweep.G = [_cast(G, dtype) for G in self.G]
+        return sweep
 
     @cached_property
     def G(self):
@@ -246,7 +277,7 @@ class Sweep:
     def jvp(self, rho: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Directional derivative of S(v_n) @ rho_n in v_n for every interval n:
         sum_k G_k (rho * dv_k), rho of shape (m, s), dv (m, d, s)."""
-        out = np.zeros(rho.shape)
+        out = np.zeros_like(rho)
         for k, G in enumerate(self.G):
             out += (G @ (rho * dv[:, k]).ravel()).reshape(rho.shape)
         return out
@@ -254,7 +285,7 @@ class Sweep:
     def vjp(self, rho: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transpose of `jvp` in dv, rho * G_k^T y per row, added into `out`
         (m, d, s) if given."""
-        out = np.zeros((len(rho), len(self.G_T), rho.shape[1])) if out is None else out
+        out = np.zeros((len(rho), len(self.G_T), rho.shape[1]), rho.dtype) if out is None else out
         for k, G_T in enumerate(self.G_T):
             out[:, k] += rho * (G_T @ y.ravel()).reshape(rho.shape)
         return out
@@ -287,11 +318,14 @@ def linearized_sweep(sweep: Sweep, frames: np.ndarray, dv: np.ndarray) -> np.nda
     """Derivative of the forward sweep's frames in direction dv (rho_0 fixed).
 
     The velocity perturbations of all intervals depend only on the frames, so
-    they are injected from one `jvp` before the recurrence."""
+    they are injected from one `jvp` before the recurrence. The first interval
+    deposits drho_0 = 0, so it is the solve of its injection alone; that keeps
+    the push's bits, since S_0 @ 0 is +0.0 and `jvp` never yields -0.0."""
     inj = sweep.jvp(frames[:-1], dv)
-    drho = np.zeros(frames.shape)
-    for n, step in enumerate(sweep.steps):
-        drho[n + 1] = step.push(drho[n], inj[n])
+    drho = np.zeros_like(frames)
+    drho[1] = sweep.steps[0].diffusion.apply(inj[0])
+    for n in range(1, len(sweep.steps)):
+        drho[n + 1] = sweep.steps[n].push(drho[n], inj[n])
     return drho
 
 
@@ -307,13 +341,13 @@ def adjoint_sweep(
     `out`, shape (m, d, s), which is returned.
     """
     steps = sweep.steps
-    mu = np.empty((len(steps), frames.shape[1]))
+    mu = np.empty_like(frames[:-1])
     lam = None  # adjoint at frame n+1, as pulled back from frame n+2
     for n in range(len(steps) - 1, -1, -1):
         for source in sources:
             if n + 1 in source:
                 lam = source[n + 1] if lam is None else lam + source[n + 1]
-        mu[n] = steps[n].diffusion.apply(np.zeros(frames.shape[1]) if lam is None else lam)
+        mu[n] = steps[n].diffusion.apply(np.zeros_like(frames[0]) if lam is None else lam)
         if n > 0:
             lam = steps[n].pull(mu[n])
     return sweep.vjp(frames[:-1], mu, out=out)

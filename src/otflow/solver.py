@@ -226,23 +226,31 @@ def _gradient_values(
         n: 2.0 * alpha * e.weight * (frames[n] - e.observed.values)
         for n, e in obs.interior().items()
     }
-    g = coef * frames[:-1][:, None, :] * v_values
+    g = _energy_curvature(frames, sweep) * v_values
     return adjoint_sweep(sweep, frames, (energy, misfit), out=g)
+
+
+def _energy_curvature(frames: np.ndarray, sweep: Sweep) -> np.ndarray:
+    """coef * rho_n, shape (m, 1, s): the energy's diagonal curvature in each
+    velocity component, in the dtype of the frames."""
+    return _energy_weight(sweep) * frames[:-1][:, None, :]
 
 
 def _gn_hessian_apply(
     dv: np.ndarray, frames: np.ndarray, sweep: Sweep, obs: ObservationSet,
-    alpha: float,
+    alpha: float, energy: np.ndarray,
 ) -> np.ndarray:
-    """Gauss-Newton curvature product: misfit J^T W J plus the diagonal energy block.
+    """Gauss-Newton curvature product: misfit J^T W J plus the diagonal energy
+    block, `energy` being `_energy_curvature(frames, sweep)`.
 
     Cross terms through the density's dependence on v inside the energy are
-    dropped, which keeps the operator symmetric positive semidefinite.
+    dropped, which keeps the operator symmetric positive semidefinite. The
+    product runs in the dtype of its operands: the misfit weights are Python
+    floats, which keep a float32 drho float32.
     """
     drho = linearized_sweep(sweep, frames, dv)
-    misfit = {n: 2.0 * alpha * e.weight * drho[n] for n, e in obs.interior().items()}
-    out = _energy_weight(sweep) * frames[:-1][:, None, :] * dv
-    return adjoint_sweep(sweep, frames, (misfit,), out=out)
+    misfit = {n: float(2.0 * alpha * e.weight) * drho[n] for n, e in obs.interior().items()}
+    return adjoint_sweep(sweep, frames, (misfit,), out=energy * dv)
 
 
 def _gn_step(hess_apply: Callable[[np.ndarray], np.ndarray], grad: np.ndarray) -> np.ndarray:
@@ -250,27 +258,46 @@ def _gn_step(hess_apply: Callable[[np.ndarray], np.ndarray], grad: np.ndarray) -
 
     Stops early on the relative-residual target or on a flat/singular
     direction; whatever iterate is reached is still a descent direction.
+    x, r and p are updated in place, and one scratch array takes the
+    products that are summed and the steps that are added.
     """
-    b = -grad
-    bnorm = float(np.linalg.norm(b))
-    x = np.zeros_like(b)
-    r = b.copy()
+    r = -grad
+    bnorm = float(np.linalg.norm(r))
+    x = np.zeros_like(r)
     p = r.copy()
-    rs = float((r * r).sum())
+    scratch = np.empty_like(r)
+    rs = float(np.multiply(r, r, out=scratch).sum())
     for _ in range(GN_CG_MAX_ITERS):
         hp = hess_apply(p)
-        curv = float((p * hp).sum())
-        if curv <= 1e-16 * float((p * p).sum()):
+        curv = float(np.multiply(p, hp, out=scratch).sum())
+        if curv <= 1e-16 * float(np.multiply(p, p, out=scratch).sum()):
             break
         a = rs / curv
-        x += a * p
-        r -= a * hp
-        rs_new = float((r * r).sum())
+        x += np.multiply(p, a, out=scratch)
+        r -= np.multiply(hp, a, out=scratch)
+        rs_new = float(np.multiply(r, r, out=scratch).sum())
         if np.sqrt(rs_new) <= GN_CG_TOLERANCE * bnorm:
             break
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     return x
+
+
+def _gn_direction(
+    g: np.ndarray, frames: np.ndarray, sweep: Sweep, obs: ObservationSet, alpha: float
+) -> np.ndarray:
+    """The Gauss-Newton direction at the accepted iterate, for the float64
+    gradient g, its frames and the float32 cast of its sweep. The inner CG
+    runs in float32 (it only targets a relative residual of 1e-2), and the
+    direction comes back in float64 for the line search."""
+    frames = frames.astype(np.float32)
+    energy = _energy_curvature(frames, sweep)
+    direction = _gn_step(
+        lambda dv: _gn_hessian_apply(dv, frames, sweep, obs, alpha, energy),
+        g.astype(np.float32),
+    )
+    return direction.astype(float)
 
 
 def _validate_problem(obs: ObservationSet, config: SolverConfig):
@@ -323,7 +350,12 @@ def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
     termination = "gradient" if gnorm0 == 0.0 else "max_iters"
     if termination == "max_iters":
         for it in range(1, config.max_gn_iters + 1):
-            direction = _gn_step(lambda dv: _gn_hessian_apply(dv, frames, sweep, obs, alpha), g)
+            # Nothing reads the float64 S and G after the gradient: the float32
+            # cast replaces them before the CG, and is dropped before the
+            # line search.
+            sweep, trial = sweep.astype(np.float32), None
+            direction = _gn_direction(g, frames, sweep, obs, alpha)
+            sweep = None
             slope = float((g * direction).sum())
             if slope >= 0.0:
                 direction = -g

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -19,6 +21,7 @@ from otflow.solver import (
     ObservationEntry,
     ObservationSet,
     SolverConfig,
+    _energy_curvature,
     _gn_hessian_apply,
     gradient,
     objective,
@@ -146,8 +149,9 @@ class TestGaussNewtonProduct:
         frames, steps = forward_frames(v.values, rho0.values, diffusion)
         rng = philox(40 + seed)
         x, y = rng.standard_normal((2,) + v.values.shape)
-        hx = _gn_hessian_apply(x, frames, steps, obs, cfg.alpha)
-        hy = _gn_hessian_apply(y, frames, steps, obs, cfg.alpha)
+        energy = _energy_curvature(frames, steps)
+        hx = _gn_hessian_apply(x, frames, steps, obs, cfg.alpha, energy)
+        hy = _gn_hessian_apply(y, frames, steps, obs, cfg.alpha, energy)
         assert (x * hy).sum() == pytest.approx((hx * y).sum(), rel=1e-12)
         assert (hx * x).sum() >= 0.0
 
@@ -178,9 +182,11 @@ class TestBatchedSweeps:
             monkeypatch.setattr(
                 cls, "_matmul_vector", lambda M, x, product=product: calls.append(M) or product(M, x)
             )
-        _gn_hessian_apply(dv, frames, sweep, _pair_obs(rho0, target, steps), config.alpha)
-        # m pushes, m - 1 pulls, one jvp and one vjp product per axis
-        assert len(calls) == 2 * steps + 2 * grid.ndim - 1
+        energy = _energy_curvature(frames, sweep)
+        _gn_hessian_apply(dv, frames, sweep, _pair_obs(rho0, target, steps), config.alpha, energy)
+        # m - 1 pushes (the first interval deposits drho_0 = 0, which is
+        # skipped), m - 1 pulls, one jvp and one vjp product per axis
+        assert len(calls) == 2 * steps + 2 * grid.ndim - 2
 
     def test_sweeps_that_only_advance_build_no_derivatives(self, monkeypatch):
         rho0, _, config = _blob_problem((12, 10), 4)
@@ -211,6 +217,82 @@ class TestBatchedSweeps:
             assert len(got.diagnostics) == 4  # three GN iterations
             assert got.velocity.values.tobytes() == want.velocity.values.tobytes()
             assert got.densities.values.tobytes() == want.densities.values.tobytes()
+
+
+def _linearisation(dims, sigma, steps=3):
+    """A float64 linearisation of `_blob_problem` at a random velocity, with
+    its derivatives built, as the solve holds it after the gradient."""
+    rho0, target, config = _blob_problem(dims, steps)
+    grid = rho0.grid
+    v = 0.2 * philox(14).standard_normal((steps, grid.ndim, grid.cell_count))
+    frames, sweep = forward_frames(v, rho0.values, ImplicitDiffusion(grid, sigma, 1.0 / steps))
+    sweep.G
+    return frames, sweep, _pair_obs(rho0, target, steps), config.alpha
+
+
+class TestSinglePrecisionProduct:
+    cases = pytest.mark.parametrize(
+        "dims, sigma",
+        [((12, 10), 0.0), ((12, 10), 0.05), ((6, 5, 4), 0.0), ((6, 5, 4), 0.05)],
+        ids=["2d-sigma0", "2d", "3d-sigma0", "3d"],
+    )
+
+    @staticmethod
+    def _cast(frames, sweep):
+        frames = frames.astype(np.float32)
+        sweep = sweep.astype(np.float32)
+        return frames, sweep, _energy_curvature(frames, sweep)
+
+    @cases
+    def test_float32_operands_stay_float32(self, monkeypatch, dims, sigma):
+        frames, sweep, obs, alpha = _linearisation(dims, sigma)
+        frames32, sweep32, energy = self._cast(frames, sweep)
+        # the casts share the index arrays of the float64 matrices
+        for M, M32 in zip([*(s.S for s in sweep.steps), *sweep.G],
+                          [*(s.S for s in sweep32.steps), *sweep32.G], strict=True):
+            assert M32.dtype == np.float32
+            assert np.shares_memory(M32.indices, M.indices)
+            assert np.shares_memory(M32.indptr, M.indptr)
+        diffusion = sweep32.steps[0].diffusion
+        if sigma > 0:
+            assert {C.dtype for C in diffusion.bases + diffusion.bases_T} == {np.dtype(np.float32)}
+            assert diffusion.eigenvalues.dtype == np.float32
+        assert frames32.dtype == energy.dtype == np.float32
+        # every sparse product, diffusion solve and injection sees float32 only
+        operands = []
+
+        def recorded(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                operands.extend(a.dtype for a in (*args, out) if hasattr(a, "dtype"))
+                return out
+            return wrapper
+
+        for cls in (sparse.csc_matrix, sparse.csr_matrix):
+            monkeypatch.setattr(cls, "_matmul_vector", recorded(cls._matmul_vector))
+        monkeypatch.setattr(otflow.forward.ImplicitDiffusion, "apply",
+                            recorded(otflow.forward.ImplicitDiffusion.apply))
+        monkeypatch.setattr(otflow.forward.Sweep, "jvp", recorded(otflow.forward.Sweep.jvp))
+        dv = philox(15).standard_normal((len(sweep.steps), len(dims), frames.shape[1]))
+        hv = _gn_hessian_apply(dv.astype(np.float32), frames32, sweep32, obs, alpha, energy)
+        assert hv.dtype == np.float32
+        assert operands and set(operands) == {np.dtype(np.float32)}
+
+    @cases
+    def test_agrees_with_float64_product_and_stays_symmetric(self, dims, sigma):
+        frames, sweep, obs, alpha = _linearisation(dims, sigma)
+        energy = _energy_curvature(frames, sweep)
+        frames32, sweep32, energy32 = self._cast(frames, sweep)
+        rng = philox(16)
+        u, w = rng.standard_normal((2, len(sweep.steps), len(dims), frames.shape[1]))
+        hu64 = _gn_hessian_apply(u, frames, sweep, obs, alpha, energy)
+        hu, hw = (
+            _gn_hessian_apply(x.astype(np.float32), frames32, sweep32, obs, alpha, energy32)
+            .astype(float)
+            for x in (u, w)
+        )
+        assert np.linalg.norm(hu - hu64) <= 1e-4 * np.linalg.norm(hu64)
+        assert (u * hw).sum() == pytest.approx((hu * w).sum(), rel=1e-5)
 
 
 class TestSolve:
@@ -267,6 +349,42 @@ class TestSolve:
         res = solve(_pair_obs(truth0, truth_T, 3), cfg)
         assert not res.converged
         assert res.termination == "max_iters"
+
+    def test_returns_float64(self):
+        rho0, target, config = _blob_problem((12, 10), 3)
+        res = solve(_pair_obs(rho0, target, 3), config)
+        assert res.velocity.values.dtype == res.densities.values.dtype == np.float64
+
+    def test_cg_runs_with_the_float64_linearisation_released(self, monkeypatch):
+        rho0, target, config = _blob_problem((12, 10), 3)
+        swept, cast, seen = [], [], []
+        sweep_of = otflow.solver.forward_frames
+        astype = otflow.forward.Sweep.astype
+        cg = otflow.solver._gn_step
+
+        def forward_frames(*args):
+            # the float32 cast is dropped before the line search
+            assert all(ref() is None for ref in cast)
+            frames, sweep = sweep_of(*args)
+            swept.append(weakref.ref(sweep))
+            return frames, sweep
+
+        def sweep_astype(sweep, dtype):
+            out = astype(sweep, dtype)
+            cast.append(weakref.ref(out))
+            return out
+
+        def gn_step(*args):
+            # every float64 sweep, the accepted one too, is dead in the CG
+            seen.append([ref() is None for ref in swept])
+            return cg(*args)
+
+        monkeypatch.setattr(otflow.solver, "forward_frames", forward_frames)
+        monkeypatch.setattr(otflow.forward.Sweep, "astype", sweep_astype)
+        monkeypatch.setattr(otflow.solver, "_gn_step", gn_step)
+        res = solve(_pair_obs(rho0, target, 3), config)
+        assert len(seen) == len(res.diagnostics) - 1 == 3
+        assert all(all(dead) for dead in seen)
 
     def test_rejects_observation_past_horizon(self):
         g = CellGrid([4, 4], [0.25, 0.25])
