@@ -131,7 +131,7 @@ def cmd_fpa(args) -> int:
 
         stage = "pathways"
         pathways = pathway_density(lines, grid)
-        write_volume(out / "pathways.nii", grid, pathways.counts.astype(float))
+        write_volume(out / "pathways.nii", grid, pathways.astype(float))
 
         stage = "cluster"
         tracks = [resample_track(sl, cfg.qb_points) for sl in lines]

@@ -5,8 +5,9 @@ The volume format is a minimal single-file NIfTI-1 subset: 348-byte
 little-endian header, magic "n+1", data at offset 352, float32 payload in
 canonical cell order (axis 0 fastest, matching the format's own layout).
 Readers also accept int16 payloads (converted to float) and gzip-compressed
-files. All writers are deterministic: identical inputs produce identical
-bytes, and gzip streams carry no timestamp.
+files, apply a header's nonzero scl_slope and its scl_inter, and reject
+non-finite voxels. All writers are deterministic: identical inputs produce
+identical bytes, and gzip streams carry no timestamp.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     HeaderError,
     TruncatedDataError,
     UnsupportedDatatypeError,
+    VolumeFormatError,
 )
 from .forward import TimeGrid, VelocitySeries
 from .grid import CellGrid, ScalarField
@@ -186,6 +188,9 @@ def read_volume(path) -> tuple[CellGrid, ScalarField]:
         raise UnsupportedDatatypeError(
             f"{path}: datatype code {code}; only float32 (16) and int16 (4) are supported"
         )
+    slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
+    if not (np.isfinite(slope) and np.isfinite(inter)):
+        raise HeaderError(f"{path}: scl_slope {slope} and scl_inter {inter} must be finite")
     offset = int(round(float(hdr["vox_offset"])))
     if offset < _HEADER_SIZE:
         raise HeaderError(f"{path}: data offset {offset} overlaps the header")
@@ -197,6 +202,14 @@ def read_volume(path) -> tuple[CellGrid, ScalarField]:
             f"{path}: data section holds {len(data)} bytes, expected {need}"
         )
     values = np.frombuffer(data, dtype=dtype).astype(np.float64)
+    # slope 0 means unscaled; the identity is skipped so that -0.0 survives
+    if slope != 0.0 and (slope, inter) != (1.0, 0.0):
+        values = values * slope + inter
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        voxel = tuple(int(i) for i in np.unravel_index(first, dims, order="F"))
+        raise VolumeFormatError(f"{path}: voxel {voxel} holds {values[first]}, not a finite value")
     return grid, ScalarField(grid, values)
 
 

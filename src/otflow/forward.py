@@ -11,8 +11,8 @@ to zero so densities stay nonnegative. A is a Kronecker sum of 1D zero-flux
 stencils with a scalar diffusivity, so the orthonormal type-II DCT basis of
 each axis diagonalizes it and the solve is exact.
 
-`SplitStep` defines one interval once, and `Sweep` the velocity derivative of
-all intervals of a sweep at once. On them sit the one forward sweep
+`Sweep` defines the split step of every interval of a sweep once, with the
+velocity derivative of all of them. On it sit the one forward sweep
 (`forward_frames`), its linearisation (`linearized_sweep`) and the one adjoint
 sweep (`adjoint_sweep`) that the solver's objective, gradient and Gauss-Newton
 product share.
@@ -159,7 +159,8 @@ class ImplicitDiffusion:
         self.eigenvalues = eig
 
     def astype(self, dtype) -> "ImplicitDiffusion":
-        """This solve with its DCT bases and eigenvalues cast to dtype."""
+        """This solve with its DCT bases and eigenvalues cast to dtype, as a
+        copy: the sweeps still to come share the original."""
         cast = copy.copy(self)
         if not self.is_identity:
             cast.bases = [C.astype(dtype) for C in self.bases]
@@ -191,53 +192,18 @@ class ImplicitDiffusion:
         return x.ravel(order="F")
 
 
-class SplitStep:
-    """One interval of the split model: the deposit S(v_n), then the solve D.
-
-    `push` is the linear step x -> D(S x + inj), where inj is a velocity
-    perturbation (`Sweep.jvp`) entering before the solve. `advance` is push
-    followed by the clamp of round-off negatives to zero, the model's one
-    negative-density policy. D is symmetric, so y -> pull(D y) is the
-    transpose of push in x. S is built on first use and is CSC, so S^T is a
-    CSR view of the same arrays, not a copy. The view is cached because each
-    `.T` builds a new scipy matrix object, and at 32^2 that costs twice the
-    product it feeds.
-    """
-
-    def __init__(self, v: VectorField, diffusion: ImplicitDiffusion):
-        self.v = v
-        self.diffusion = diffusion
-
-    @cached_property
-    def S(self):
-        return advection_interp_matrix(self.v, self.diffusion.dt)
-
-    @cached_property
-    def S_T(self):
-        return self.S.T
-
-    def advance(self, rho: np.ndarray) -> np.ndarray:
-        out = self.push(rho)
-        if not self.diffusion.is_identity:
-            np.maximum(out, 0.0, out=out)
-        return out
-
-    def push(self, x: np.ndarray, inj: np.ndarray | None = None) -> np.ndarray:
-        rho_star = self.S @ x
-        return self.diffusion.apply(rho_star if inj is None else rho_star + inj)
-
-    def pull(self, mu: np.ndarray) -> np.ndarray:
-        return self.S_T @ mu
-
-
-def _cast(M, dtype):
-    """The compressed matrix M with its data cast to dtype, on M's own index arrays."""
-    return type(M)((M.data.astype(dtype), M.indices, M.indptr), shape=M.shape, copy=False)
-
-
 class Sweep:
-    """The m split steps of one forward sweep and the velocity derivative of
-    all of them.
+    """One forward sweep of the split model: for each of its m intervals the
+    deposit S(v_n) and the one shared solve D, and the velocity derivative of
+    all intervals at once.
+
+    `forward_frames` appends each S as it advances, so a sweep holds exactly
+    the deposits its frames were made with. `push(n, x, inj)` is the linear
+    step x -> D(S_n x + inj), where inj is a velocity perturbation (`jvp`)
+    entering before the solve. D is symmetric, so y -> S_T[n] @ (D y) is the
+    transpose of push in x. S is CSC, so S^T is a CSR view of the same
+    arrays, not a copy; the views are cached because each `.T` builds a new
+    scipy matrix object, and at 32^2 that costs twice the product it feeds.
 
     Per axis k, G[k] is one block-diagonal CSC over the intervals (see
     `advection_weight_gradients`), so `jvp` and its transpose `vjp` make d
@@ -247,32 +213,42 @@ class Sweep:
     a rejected line-search trial) never builds them, and G_k^T are cached CSR
     views of the same arrays.
 
-    The products allocate in the dtype of their inputs, so the float32 cast
-    of a sweep (`astype`) runs the same code on float32 frames and directions.
+    The products allocate in the dtype of their inputs, so after `cast` the
+    same code runs on float32 frames and directions.
     """
 
-    def __init__(self, steps: list[SplitStep]):
-        self.steps = steps
+    def __init__(self, fields: list[VectorField], diffusion: ImplicitDiffusion):
+        self.fields = fields
+        self.diffusion = diffusion
+        self.S = []
 
-    def astype(self, dtype) -> "Sweep":
-        """This sweep's linearisation, each S and G_k and the diffusion solve,
-        cast to dtype. A cast matrix shares its index arrays with the original,
-        so only the weights are copied."""
-        diffusion = self.steps[0].diffusion.astype(dtype)
-        sweep = Sweep([SplitStep(step.v, diffusion) for step in self.steps])
-        for cast, step in zip(sweep.steps, self.steps):
-            cast.S = _cast(step.S, dtype)
-        sweep.G = [_cast(G, dtype) for G in self.G]
-        return sweep
+    @cached_property
+    def S_T(self):
+        return [S.T for S in self.S]
 
     @cached_property
     def G(self):
-        fields = [step.v for step in self.steps]
-        return advection_weight_gradients(fields, self.steps[0].diffusion.dt)
+        return advection_weight_gradients(self.fields, self.diffusion.dt)
 
     @cached_property
     def G_T(self):
         return [G.T for G in self.G]
+
+    def cast(self, dtype) -> None:
+        """Cast this sweep's linearisation, the diffusion solve and each S and
+        G_k, to dtype in place. Each matrix keeps its index arrays and drops
+        its old weights before the next is cast, so the two precisions of the
+        family are never alive together. The cached transposes go first: they
+        are views of the old weights."""
+        self.__dict__.pop("S_T", None)
+        self.__dict__.pop("G_T", None)
+        self.diffusion = self.diffusion.astype(dtype)
+        for M in (*self.S, *self.G):
+            M.data = M.data.astype(dtype)
+
+    def push(self, n: int, x: np.ndarray, inj: np.ndarray | None = None) -> np.ndarray:
+        rho_star = self.S[n] @ x
+        return self.diffusion.apply(rho_star if inj is None else rho_star + inj)
 
     def jvp(self, rho: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Directional derivative of S(v_n) @ rho_n in v_n for every interval n:
@@ -305,12 +281,18 @@ def simulate(v: VelocitySeries, rho0: ScalarField, sigma: float) -> DensitySerie
 def forward_frames(
     v_values: np.ndarray, rho0_values: np.ndarray, diffusion: ImplicitDiffusion
 ) -> tuple[np.ndarray, Sweep]:
-    """The one forward sweep: frames 0..m, shape (m+1, s), and its m steps."""
-    sweep = Sweep([SplitStep(VectorField(diffusion.grid, v_n), diffusion) for v_n in v_values])
-    frames = np.empty((len(sweep.steps) + 1, diffusion.grid.cell_count))
+    """The one forward sweep: frames 0..m, shape (m+1, s), and its sweep.
+
+    Each step is the push followed by the clamp of round-off negatives to
+    zero, the model's one negative-density policy."""
+    sweep = Sweep([VectorField(diffusion.grid, v_n) for v_n in v_values], diffusion)
+    frames = np.empty((len(v_values) + 1, diffusion.grid.cell_count))
     frames[0] = rho0_values
-    for n, step in enumerate(sweep.steps):
-        frames[n + 1] = step.advance(frames[n])
+    for n, v_n in enumerate(sweep.fields):
+        sweep.S.append(advection_interp_matrix(v_n, diffusion.dt))
+        frames[n + 1] = sweep.push(n, frames[n])
+        if not diffusion.is_identity:
+            np.maximum(frames[n + 1], 0.0, out=frames[n + 1])
     return frames, sweep
 
 
@@ -323,9 +305,9 @@ def linearized_sweep(sweep: Sweep, frames: np.ndarray, dv: np.ndarray) -> np.nda
     the push's bits, since S_0 @ 0 is +0.0 and `jvp` never yields -0.0."""
     inj = sweep.jvp(frames[:-1], dv)
     drho = np.zeros_like(frames)
-    drho[1] = sweep.steps[0].diffusion.apply(inj[0])
-    for n in range(1, len(sweep.steps)):
-        drho[n + 1] = sweep.steps[n].push(drho[n], inj[n])
+    drho[1] = sweep.diffusion.apply(inj[0])
+    for n in range(1, len(sweep.S)):
+        drho[n + 1] = sweep.push(n, drho[n], inj[n])
     return drho
 
 
@@ -340,15 +322,14 @@ def adjoint_sweep(
     and one `vjp` of all of them then adds the velocity sensitivities to
     `out`, shape (m, d, s), which is returned.
     """
-    steps = sweep.steps
     mu = np.empty_like(frames[:-1])
     lam = None  # adjoint at frame n+1, as pulled back from frame n+2
-    for n in range(len(steps) - 1, -1, -1):
+    for n in range(len(sweep.S) - 1, -1, -1):
         for source in sources:
             if n + 1 in source:
                 lam = source[n + 1] if lam is None else lam + source[n + 1]
-        mu[n] = steps[n].diffusion.apply(np.zeros_like(frames[0]) if lam is None else lam)
+        mu[n] = sweep.diffusion.apply(np.zeros_like(frames[0]) if lam is None else lam)
         if n > 0:
-            lam = steps[n].pull(mu[n])
+            lam = sweep.S_T[n] @ mu[n]
     return sweep.vjp(frames[:-1], mu, out=out)
 

@@ -11,7 +11,7 @@ observation at time index 0. The gradient and the Gauss-Newton product
 (misfit curvature plus the diagonal energy curvature in v) run the one adjoint
 sweep with their own per-frame sources. GN directions come from matrix-free
 inner CG, safeguarded by Armijo backtracking, so the objective is
-non-increasing across iterations; the accepted trial's frames and steps are
+non-increasing across iterations; the accepted trial's frames and sweep are
 the next linearization point.
 
 A restricted mode reproduces the classical fixed-endpoint transport baseline:
@@ -197,7 +197,7 @@ class ObjectiveValue(NamedTuple):
 
 def _energy_weight(sweep: Sweep) -> float:
     """cell_volume * dt, the quadrature weight of the transport energy."""
-    return sweep.steps[0].v.grid.cell_volume * sweep.steps[0].diffusion.dt
+    return sweep.diffusion.grid.cell_volume * sweep.diffusion.dt
 
 
 def _objective_terms(
@@ -221,7 +221,7 @@ def _gradient_values(
     """Adjoint gradient. The sweep's sources are the energy's density
     sensitivity at frames 1..m-1 and the weighted misfit residuals."""
     coef = _energy_weight(sweep)
-    energy = {n: 0.5 * coef * (v_values[n] ** 2).sum(axis=0) for n in range(1, len(sweep.steps))}
+    energy = {n: 0.5 * coef * (v_values[n] ** 2).sum(axis=0) for n in range(1, len(v_values))}
     misfit = {
         n: 2.0 * alpha * e.weight * (frames[n] - e.observed.values)
         for n, e in obs.interior().items()
@@ -288,7 +288,7 @@ def _gn_direction(
     g: np.ndarray, frames: np.ndarray, sweep: Sweep, obs: ObservationSet, alpha: float
 ) -> np.ndarray:
     """The Gauss-Newton direction at the accepted iterate, for the float64
-    gradient g, its frames and the float32 cast of its sweep. The inner CG
+    gradient g, its frames and its sweep cast to float32. The inner CG
     runs in float32 (it only targets a relative residual of 1e-2), and the
     direction comes back in float64 for the line search."""
     frames = frames.astype(np.float32)
@@ -350,18 +350,18 @@ def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
     termination = "gradient" if gnorm0 == 0.0 else "max_iters"
     if termination == "max_iters":
         for it in range(1, config.max_gn_iters + 1):
-            # Nothing reads the float64 S and G after the gradient: the float32
-            # cast replaces them before the CG, and is dropped before the
+            # Nothing reads the float64 S and G after the gradient: the sweep
+            # is cast to float32 in place for the CG, and dropped before the
             # line search.
-            sweep, trial = sweep.astype(np.float32), None
+            sweep.cast(np.float32)
             direction = _gn_direction(g, frames, sweep, obs, alpha)
-            sweep = None
+            sweep = trial = None
             slope = float((g * direction).sum())
             if slope >= 0.0:
                 direction = -g
                 slope = -gnorm * gnorm
             # Armijo backtracking on the true objective; the accepted trial's
-            # frames and steps become the next linearization point
+            # frames and sweep become the next linearization point
             t = 1.0
             accepted = False
             for _ in range(MAX_BACKTRACKS + 1):

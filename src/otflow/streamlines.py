@@ -19,7 +19,6 @@ from .grid import CellGrid, ScalarField, interpolate_components
 
 __all__ = [
     "Streamline",
-    "PathwayMap",
     "seed_points",
     "trace_streamlines",
     "pathway_density",
@@ -39,22 +38,6 @@ class Streamline:
         self.seed = np.asarray(self.seed, dtype=float)
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.step_size = float(self.step_size)
-
-
-@dataclass(eq=False)
-class PathwayMap:
-    """Number of distinct streamlines passing through each cell."""
-
-    grid: CellGrid
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64).ravel()
-        if counts.shape != (self.grid.cell_count,):
-            raise ValueError("counts length must match the grid cell count")
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
-        self.counts = counts
 
 
 def seed_points(density: ScalarField, threshold_quantile: float) -> np.ndarray:
@@ -142,10 +125,11 @@ def trace_streamlines(
     return [Streamline(s, p, step_size) for s, p in zip(seeds, per_seed)]
 
 
-def pathway_density(streamlines: list[Streamline], grid: CellGrid) -> PathwayMap:
-    """Count, per cell, how many streamlines visit it (each at most once)."""
+def pathway_density(streamlines: list[Streamline], grid: CellGrid) -> np.ndarray:
+    """Count, per cell, how many streamlines visit it (each at most once):
+    int64, in canonical cell order."""
     counts = np.zeros(grid.cell_count, dtype=np.int64)
     for sl in streamlines:
         cells = np.unique(grid.cells_of_points(sl.points))
         counts[cells] += 1
-    return PathwayMap(grid, counts)
+    return counts

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from otflow.forward import TimeGrid, VelocitySeries
-from otflow.grid import CellGrid, ScalarField
+from otflow.forward import ImplicitDiffusion, TimeGrid, VelocitySeries, forward_frames
+from otflow.grid import CellGrid, ScalarField, VectorField
 from otflow.solver import ObservationEntry, ObservationSet, SolverConfig
 from otflow.synth import (
     Blob,
@@ -16,6 +16,13 @@ from otflow.synth import (
 
 def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
+def one_step(v: VectorField, rho: np.ndarray, diffusion: ImplicitDiffusion) -> np.ndarray:
+    """rho advanced through one interval of velocity v: the deposit, the
+    solve and the clamp, from a one-interval forward sweep."""
+    frames, _ = forward_frames(v.components[None], rho, diffusion)
+    return frames[1]
 
 
 def smooth_velocity(grid: CellGrid, seed: int, scale: float = 0.05) -> np.ndarray:

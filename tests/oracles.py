@@ -61,8 +61,8 @@ def _interval_gradients(sweep: Sweep, dtype) -> list[list[sparse.csc_matrix]]:
     """The G_k of each interval on its own, as one-interval sweeps build them,
     cast to the dtype the sweep runs in."""
     return [
-        [G.astype(dtype) for G in advection_weight_gradients([step.v], step.diffusion.dt)]
-        for step in sweep.steps
+        [G.astype(dtype) for G in advection_weight_gradients([v], sweep.diffusion.dt)]
+        for v in sweep.fields
     ]
 
 
@@ -70,11 +70,11 @@ def interval_linearized_sweep(sweep: Sweep, frames: np.ndarray, dv: np.ndarray) 
     """`linearized_sweep` interval by interval: each interval's velocity
     derivative is d sparse products of its own G_k, made inside the recurrence."""
     drho = np.zeros_like(frames)
-    for n, (step, grads) in enumerate(zip(sweep.steps, _interval_gradients(sweep, frames.dtype))):
+    for n, grads in enumerate(_interval_gradients(sweep, frames.dtype)):
         inj = np.zeros_like(frames[n])
         for G, dv_k in zip(grads, dv[n]):
             inj += G @ (frames[n] * dv_k)
-        drho[n + 1] = step.push(drho[n], inj)
+        drho[n + 1] = sweep.push(n, drho[n], inj)
     return drho
 
 
@@ -83,17 +83,17 @@ def interval_adjoint_sweep(
 ) -> np.ndarray:
     """`adjoint_sweep` interval by interval: each interval's sensitivities are
     added from its own G_k^T as soon as its adjoint is solved."""
-    steps, grads = sweep.steps, _interval_gradients(sweep, frames.dtype)
+    grads = _interval_gradients(sweep, frames.dtype)
     lam = None
-    for n in range(len(steps) - 1, -1, -1):
+    for n in range(len(grads) - 1, -1, -1):
         for source in sources:
             if n + 1 in source:
                 lam = source[n + 1] if lam is None else lam + source[n + 1]
-        mu = steps[n].diffusion.apply(np.zeros_like(frames[n]) if lam is None else lam)
+        mu = sweep.diffusion.apply(np.zeros_like(frames[n]) if lam is None else lam)
         for k, G in enumerate(grads[n]):
             out[n, k] += frames[n] * (G.T @ mu)
         if n > 0:
-            lam = steps[n].pull(mu)
+            lam = sweep.S[n].T @ mu
     return out
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from otflow.bundles import quickbundles
-from otflow.forward import ImplicitDiffusion, SplitStep, TimeGrid, simulate
+from otflow.forward import ImplicitDiffusion, TimeGrid, simulate
 from otflow.grid import CellGrid, VectorField
 from otflow.solver import (
     ObservationEntry,
@@ -41,7 +41,7 @@ from otflow.dataio import read_volume, write_volume
 from otflow.errors import VolumeFormatError
 
 from oracles import finite_difference_gradient
-from conftest import gradient_check_instance, philox, smooth_velocity, translating_pair
+from conftest import gradient_check_instance, one_step, philox, smooth_velocity, translating_pair
 from test_bundles import planted_bundles
 from test_dataio import craft_nifti_bytes
 
@@ -98,10 +98,9 @@ def test_c01_conservation():
         rng = philox(trial)
         v = VectorField(grid, smooth_velocity(grid, trial, scale=0.08))
         rho = rng.uniform(0.0, 1.0, grid.cell_count)
-        advected = SplitStep(v, ImplicitDiffusion(grid, 0.0, dt)).push(rho)
+        advected = one_step(v, rho, ImplicitDiffusion(grid, 0.0, dt))
         worst_advect = max(worst_advect, abs(advected.sum() - rho.sum()) / rho.sum())
-        diffuse = SplitStep(VectorField.zeros(grid), ImplicitDiffusion(grid, sigma, dt))
-        diffused = diffuse.advance(advected)
+        diffused = one_step(VectorField.zeros(grid), advected, ImplicitDiffusion(grid, sigma, dt))
         worst_diffuse = max(worst_diffuse, abs(diffused.sum() - rho.sum()) / rho.sum())
     elapsed = time.perf_counter() - start
     ok = worst_advect < 1e-12 and worst_diffuse < 1e-9 and elapsed < 30

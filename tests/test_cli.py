@@ -139,6 +139,16 @@ class TestSolveCommand:
         assert f"rhoT.nii has grid {gridT}, expected {grid0}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_voxel_names_file_and_voxel(self, tmp_path, capsys):
+        grid, _, rhoT = write_pair(tmp_path)
+        values = rhoT.values.copy()
+        values[13] = np.nan
+        write_volume(tmp_path / "rhoT.nii", grid, values)
+        cfg = write_config(tmp_path)
+        assert run("solve", "--config", str(cfg)) == 1
+        assert f"error: {tmp_path / 'rhoT.nii'}: voxel (1, 1) holds nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_baseline_mode(self, tmp_path):
         write_pair(tmp_path, shift_cells=1)
         cfg = write_config(tmp_path, baseline_mode=True, alpha=1.0)
@@ -236,6 +246,16 @@ class TestFpaCommand:
         err = capsys.readouterr().err
         assert "error in stage 'load'" in err
         assert f"{path}: key '{key}' must be" in err
+
+    def test_non_finite_velocity_fails_in_load(self, tmp_path, capsys):
+        grid = _channel_outputs(tmp_path)
+        path = tmp_path / "out" / "velocity_t1_c0.nii"
+        values = np.full(grid.cell_count, 0.4)
+        values[30] = np.nan
+        write_volume(path, grid, values)
+        cfg = write_config(tmp_path)
+        assert run("fpa", "--config", str(cfg)) == 1
+        assert f"error in stage 'load': {path}: voxel (6, 1) holds nan" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path):
         _channel_outputs(tmp_path)

@@ -14,6 +14,7 @@ from otflow.errors import (
     HeaderError,
     TruncatedDataError,
     UnsupportedDatatypeError,
+    VolumeFormatError,
 )
 from otflow.forward import TimeGrid, VelocitySeries
 from otflow.grid import CellGrid, ScalarField
@@ -46,7 +47,7 @@ def make_volume(seed, dims, spacing):
 
 
 def craft_nifti_bytes(dims, spacing, payload, datatype=16, bitpix=32, magic=b"n+1\x00",
-                      sizeof_hdr=348, vox_offset=352.0):
+                      sizeof_hdr=348, vox_offset=352.0, scl_slope=0.0, scl_inter=0.0):
     """Byte-level fixture built directly from the header field offsets."""
     hdr = bytearray(348)
     struct.pack_into("<i", hdr, 0, sizeof_hdr)
@@ -56,7 +57,7 @@ def craft_nifti_bytes(dims, spacing, payload, datatype=16, bitpix=32, magic=b"n+
     struct.pack_into("<h", hdr, 72, bitpix)
     pixdim = [1.0] + list(spacing) + [0.0] * (7 - len(spacing))
     struct.pack_into("<8f", hdr, 76, *pixdim)
-    struct.pack_into("<f", hdr, 108, vox_offset)
+    struct.pack_into("<3f", hdr, 108, vox_offset, scl_slope, scl_inter)
     struct.pack_into("<4s", hdr, 344, magic)
     return bytes(hdr) + b"\x00" * 4 + payload
 
@@ -67,11 +68,13 @@ class TestVolumeRoundTrip:
     ])
     def test_round_trip_bit_exact(self, tmp_path, dims, spacing):
         grid, field = make_volume(sum(dims), dims, spacing)
+        field.values[0] = -0.0
         path = tmp_path / "vol.nii"
         write_volume(path, grid, field)
         got_grid, got = read_volume(path)
         assert got_grid == grid
         assert np.array_equal(got.values, field.values)
+        assert np.signbit(got.values[0])
 
     def test_round_trip_gzip(self, tmp_path):
         grid, field = make_volume(9, [6, 6], [0.125, 0.125])
@@ -130,6 +133,33 @@ class TestHandCraftedAndMalformed:
         path.write_bytes(blob)
         _, field = read_volume(path)
         np.testing.assert_array_equal(field.values, [-3.0, 0.0, 7.0, 32000.0])
+
+    def test_int16_scaled(self, tmp_path):
+        payload = struct.pack("<4h", 100, 200, 300, 400)
+        blob = craft_nifti_bytes([4], [0.5], payload, datatype=4, bitpix=16,
+                                 scl_slope=0.01, scl_inter=-1.0)
+        path = tmp_path / "scaled.nii"
+        path.write_bytes(blob)
+        _, field = read_volume(path)
+        slope = float(np.float32(0.01))  # the header holds float32
+        np.testing.assert_array_equal(field.values, slope * np.array([100, 200, 300, 400]) - 1.0)
+        np.testing.assert_allclose(field.values, [0.0, 1.0, 2.0, 3.0], atol=1e-6)
+
+    @pytest.mark.parametrize("slope, inter", [(np.nan, 0.0), (1.0, np.inf)], ids=["slope", "inter"])
+    def test_non_finite_scaling_rejected(self, tmp_path, slope, inter):
+        blob = craft_nifti_bytes([4], [0.5], struct.pack("<4f", 1, 2, 3, 4),
+                                 scl_slope=slope, scl_inter=inter)
+        path = tmp_path / "nan_slope.nii"
+        path.write_bytes(blob)
+        with pytest.raises(HeaderError, match=re.escape(str(path)) + ".*must be finite"):
+            read_volume(path)
+
+    def test_non_finite_voxel_names_file_and_index(self, tmp_path):
+        payload = struct.pack("<6f", 0.0, 1.0, 2.0, 3.0, np.nan, np.inf)
+        path = tmp_path / "nan_voxel.nii"
+        path.write_bytes(craft_nifti_bytes([2, 3], [0.5, 0.5], payload))
+        with pytest.raises(VolumeFormatError, match=re.escape(f"{path}: voxel (0, 2)")):
+            read_volume(path)
 
     def test_wrong_magic(self, tmp_path):
         blob = craft_nifti_bytes([4], [0.5], b"\x00" * 16, magic=b"abc\x00")

@@ -6,8 +6,6 @@ import pytest
 from otflow.forward import (
     DensitySeries,
     ImplicitDiffusion,
-    SplitStep,
-    Sweep,
     TimeGrid,
     VelocitySeries,
     adjoint_sweep,
@@ -32,7 +30,7 @@ from oracles import (
     interval_linearized_sweep,
     tensordot_diffusion,
 )
-from conftest import gradient_check_instance, philox, smooth_velocity
+from conftest import gradient_check_instance, one_step, philox, smooth_velocity
 
 
 def test_forward_submodule_imports_as_module():
@@ -66,14 +64,13 @@ class TestTimeGrid:
 class TestAdvectStep:
     def test_zero_velocity_identity(self, grid_2d):
         rho = philox(0).uniform(0, 1, grid_2d.cell_count)
-        step = SplitStep(VectorField.zeros(grid_2d), ImplicitDiffusion(grid_2d, 0.0, 0.25))
-        out = step.push(rho)
+        out = one_step(VectorField.zeros(grid_2d), rho, ImplicitDiffusion(grid_2d, 0.0, 0.25))
         np.testing.assert_allclose(out, rho)
 
     def test_1d_hand_deposit(self):
         g = CellGrid([4], [1.0])
-        step = SplitStep(VectorField.constant(g, [0.5]), ImplicitDiffusion(g, 0.0, 1.0))
-        out = step.push(np.array([0.0, 1.0, 0.0, 0.0]))
+        out = one_step(VectorField.constant(g, [0.5]), np.array([0.0, 1.0, 0.0, 0.0]),
+                       ImplicitDiffusion(g, 0.0, 1.0))
         np.testing.assert_allclose(out, [0, 0.5, 0.5, 0])
 
     def test_mass_conserved_random_velocity(self):
@@ -81,7 +78,7 @@ class TestAdvectStep:
         rho = philox(4).uniform(0, 1, g.cell_count)
         for seed in range(5):
             v = VectorField(g, smooth_velocity(g, seed, scale=0.2))
-            out = SplitStep(v, ImplicitDiffusion(g, 0.0, 0.25)).push(rho)
+            out = one_step(v, rho, ImplicitDiffusion(g, 0.0, 0.25))
             assert out.sum() == pytest.approx(rho.sum(), rel=1e-13)
             assert out.min() >= 0.0
 
@@ -95,8 +92,7 @@ class TestAdvectStep:
 class TestDiffuseStep:
     def test_sigma_zero_identity(self, grid_2d):
         rho = philox(1).uniform(0, 1, grid_2d.cell_count)
-        step = SplitStep(VectorField.zeros(grid_2d), ImplicitDiffusion(grid_2d, 0.0, 0.25))
-        out = step.advance(rho)
+        out = one_step(VectorField.zeros(grid_2d), rho, ImplicitDiffusion(grid_2d, 0.0, 0.25))
         np.testing.assert_allclose(out, rho)
 
     @pytest.mark.parametrize(
@@ -139,15 +135,15 @@ class TestDiffuseStep:
     def test_3cell_hand_elimination(self):
         # (I - A) rho = [0, 1, 0] with sigma = h = dt = 1, eliminated by hand
         g = CellGrid([3], [1.0])
-        step = SplitStep(VectorField.zeros(g), ImplicitDiffusion(g, 1.0, 1.0))
-        out = step.advance(np.array([0.0, 1.0, 0.0]))
+        out = one_step(VectorField.zeros(g), np.array([0.0, 1.0, 0.0]),
+                       ImplicitDiffusion(g, 1.0, 1.0))
         np.testing.assert_allclose(out, [0.25, 0.5, 0.25], rtol=1e-10)
 
     def test_mass_conserved(self):
         g = CellGrid([10, 10], [0.1, 0.1])
         for seed in range(5):
             rho = philox(seed).uniform(0, 1, g.cell_count)
-            out = SplitStep(VectorField.zeros(g), ImplicitDiffusion(g, 0.3, 0.25)).advance(rho)
+            out = one_step(VectorField.zeros(g), rho, ImplicitDiffusion(g, 0.3, 0.25))
             assert out.sum() == pytest.approx(rho.sum(), rel=1e-10)
             assert out.min() >= 0.0
 
@@ -208,17 +204,16 @@ class TestSplitStep:
         rng = philox(21)
         dt = 0.25
         v = VectorField(g, smooth_velocity(g, 3, scale=0.3))
-        step = SplitStep(v, ImplicitDiffusion(g, 0.2, dt))
-        sweep = Sweep([step])
-        D = step.diffusion.apply
         rho = rng.uniform(0.5, 1.5, (1, g.cell_count))
+        _, sweep = forward_frames(v.components[None], rho[0], ImplicitDiffusion(g, 0.2, dt))
+        D = sweep.diffusion.apply
         x, y = rng.standard_normal((2, g.cell_count))
         dv = rng.standard_normal((1, g.ndim, g.cell_count))
-        # the solve D is symmetric: y -> pull(D y) is the transpose of push
-        assert x @ step.pull(D(y)) == pytest.approx(step.push(x) @ y, rel=1e-12)
+        # the solve D is symmetric: y -> S^T (D y) is the transpose of push
+        assert x @ (sweep.S_T[0] @ D(y)) == pytest.approx(sweep.push(0, x) @ y, rel=1e-12)
         assert (dv * sweep.vjp(rho, y)).sum() == pytest.approx(sweep.jvp(rho, dv)[0] @ y, rel=1e-12)
         # the transposes are views of the matrices, not copies
-        for M, M_T in zip([step.S, *sweep.G], [step.S_T, *sweep.G_T], strict=True):
+        for M, M_T in zip([*sweep.S, *sweep.G], [*sweep.S_T, *sweep.G_T], strict=True):
             assert np.shares_memory(M_T.data, M.data)
 
     @pytest.mark.parametrize("seed,sigma", [(0, 0.0), (1, 0.01)])

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
-from otflow.forward import ImplicitDiffusion, SplitStep, Sweep
+from otflow.forward import ImplicitDiffusion, Sweep
 from otflow.grid import CellGrid, ScalarField, VectorField
 from otflow.operators import _deposit_stencil, advection_interp_matrix, advection_weight_gradients
 
@@ -166,7 +166,7 @@ class TestDepositPattern:
 
 def _one_step_jvp(v, dt, rho, dv):
     """The velocity derivative of S(v) @ rho in direction dv, from a one-interval sweep."""
-    sweep = Sweep([SplitStep(v, ImplicitDiffusion(v.grid, 0.0, dt))])
+    sweep = Sweep([v], ImplicitDiffusion(v.grid, 0.0, dt))
     return sweep.jvp(rho[None], dv[None])[0]
 
 

@@ -27,6 +27,22 @@ def test_readme_layout_lists_every_module():
     assert sorted(re.findall(r"^\| `(otflow\.\w+)` \|", section, flags=re.M)) == MODULES
 
 
+def test_readme_layout_names_resolve():
+    # every backticked CamelCase name (or Name.attr) in a module's row is
+    # defined in that module, so the layout cannot name a deleted class
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    missing, unresolved = object(), []
+    for name, contents in re.findall(r"^\| `(otflow\.\w+)` \| (.*) \|$", section, flags=re.M):
+        for token in re.findall(r"`([A-Z][a-z]\w*(?:\.\w+)?)`", contents):
+            obj = importlib.import_module(name)
+            for part in token.split("."):
+                obj = getattr(obj, part, missing)
+            if obj is missing:
+                unresolved.append(f"{name}: {token}")
+    assert unresolved == []
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy is imported where the deposit matrices are built, so `synth`,
     # `fpa` and every `--dry-run` start without paying for it

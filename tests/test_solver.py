@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -240,20 +242,26 @@ class TestSinglePrecisionProduct:
     @staticmethod
     def _cast(frames, sweep):
         frames = frames.astype(np.float32)
-        sweep = sweep.astype(np.float32)
+        sweep.cast(np.float32)
         return frames, sweep, _energy_curvature(frames, sweep)
 
     @cases
     def test_float32_operands_stay_float32(self, monkeypatch, dims, sigma):
         frames, sweep, obs, alpha = _linearisation(dims, sigma)
+        matrices = [*sweep.S, *sweep.G]
+        index_arrays = [(M.indices, M.indptr) for M in matrices]
         frames32, sweep32, energy = self._cast(frames, sweep)
-        # the casts share the index arrays of the float64 matrices
-        for M, M32 in zip([*(s.S for s in sweep.steps), *sweep.G],
-                          [*(s.S for s in sweep32.steps), *sweep32.G], strict=True):
+        # each matrix is cast in place and keeps its own index arrays
+        for M, M32, (indices, indptr) in zip(
+            matrices, [*sweep32.S, *sweep32.G], index_arrays, strict=True
+        ):
+            assert M32 is M
             assert M32.dtype == np.float32
-            assert np.shares_memory(M32.indices, M.indices)
-            assert np.shares_memory(M32.indptr, M.indptr)
-        diffusion = sweep32.steps[0].diffusion
+            assert M32.indices is indices
+            assert M32.indptr is indptr
+        # the cached transposes are views of the cast weights, not the old ones
+        assert {M.dtype for M in (*sweep32.S_T, *sweep32.G_T)} == {np.dtype(np.float32)}
+        diffusion = sweep32.diffusion
         if sigma > 0:
             assert {C.dtype for C in diffusion.bases + diffusion.bases_T} == {np.dtype(np.float32)}
             assert diffusion.eigenvalues.dtype == np.float32
@@ -273,7 +281,7 @@ class TestSinglePrecisionProduct:
         monkeypatch.setattr(otflow.forward.ImplicitDiffusion, "apply",
                             recorded(otflow.forward.ImplicitDiffusion.apply))
         monkeypatch.setattr(otflow.forward.Sweep, "jvp", recorded(otflow.forward.Sweep.jvp))
-        dv = philox(15).standard_normal((len(sweep.steps), len(dims), frames.shape[1]))
+        dv = philox(15).standard_normal((len(sweep.S), len(dims), frames.shape[1]))
         hv = _gn_hessian_apply(dv.astype(np.float32), frames32, sweep32, obs, alpha, energy)
         assert hv.dtype == np.float32
         assert operands and set(operands) == {np.dtype(np.float32)}
@@ -282,10 +290,10 @@ class TestSinglePrecisionProduct:
     def test_agrees_with_float64_product_and_stays_symmetric(self, dims, sigma):
         frames, sweep, obs, alpha = _linearisation(dims, sigma)
         energy = _energy_curvature(frames, sweep)
-        frames32, sweep32, energy32 = self._cast(frames, sweep)
         rng = philox(16)
-        u, w = rng.standard_normal((2, len(sweep.steps), len(dims), frames.shape[1]))
+        u, w = rng.standard_normal((2, len(sweep.S), len(dims), frames.shape[1]))
         hu64 = _gn_hessian_apply(u, frames, sweep, obs, alpha, energy)
+        frames32, sweep32, energy32 = self._cast(frames, sweep)
         hu, hw = (
             _gn_hessian_apply(x.astype(np.float32), frames32, sweep32, obs, alpha, energy32)
             .astype(float)
@@ -357,34 +365,74 @@ class TestSolve:
 
     def test_cg_runs_with_the_float64_linearisation_released(self, monkeypatch):
         rho0, target, config = _blob_problem((12, 10), 3)
-        swept, cast, seen = [], [], []
+        swept, cast, weights, seen = [], [], [], []
         sweep_of = otflow.solver.forward_frames
-        astype = otflow.forward.Sweep.astype
+        cast_of = otflow.forward.Sweep.cast
         cg = otflow.solver._gn_step
 
         def forward_frames(*args):
-            # the float32 cast is dropped before the line search
+            # the cast sweep is dropped before the line search
             assert all(ref() is None for ref in cast)
             frames, sweep = sweep_of(*args)
             swept.append(weakref.ref(sweep))
             return frames, sweep
 
-        def sweep_astype(sweep, dtype):
-            out = astype(sweep, dtype)
-            cast.append(weakref.ref(out))
-            return out
+        def sweep_cast(sweep, dtype):
+            for M in (*sweep.S, *sweep.G):
+                weights.extend(weakref.ref(a) for a in (M.data, M.data.base)
+                               if isinstance(a, np.ndarray))
+            cast.append(weakref.ref(sweep))
+            return cast_of(sweep, dtype)
 
         def gn_step(*args):
-            # every float64 sweep, the accepted one too, is dead in the CG
-            seen.append([ref() is None for ref in swept])
+            # in the CG every float64 weight array is dead, and the accepted
+            # sweep, cast to float32, is the only sweep alive
+            alive = [ref() for ref in swept if ref() is not None]
+            seen.append((
+                all(ref() is None for ref in weights),
+                len(alive) == 1 and alive[0] is swept[-1]() is cast[-1](),
+                {M.dtype for M in (*alive[0].S, *alive[0].G)} == {np.dtype(np.float32)},
+            ))
+            del alive
             return cg(*args)
 
         monkeypatch.setattr(otflow.solver, "forward_frames", forward_frames)
-        monkeypatch.setattr(otflow.forward.Sweep, "astype", sweep_astype)
+        monkeypatch.setattr(otflow.forward.Sweep, "cast", sweep_cast)
         monkeypatch.setattr(otflow.solver, "_gn_step", gn_step)
         res = solve(_pair_obs(rho0, target, 3), config)
         assert len(seen) == len(res.diagnostics) - 1 == 3
-        assert all(all(dead) for dead in seen)
+        assert all(all(checks) for checks in seen)
+
+    def test_cast_peak_stays_within_the_gradients(self, monkeypatch):
+        # the traced peak from the end of the gradient to the start of the CG,
+        # where the sweep is cast, must not exceed the gradient's own
+        rho0, target, config = _blob_problem((16, 16, 16), 3)
+        config = dataclasses.replace(config, max_gn_iters=1)
+        obs = _pair_obs(rho0, target, 3)
+        solve(obs, config)  # warm-up: first-call allocations are not the solve's
+        peaks = {}
+        gradient_of = otflow.solver._gradient_values
+        cg = otflow.solver._gn_step
+
+        def gradient_values(*args):
+            tracemalloc.reset_peak()
+            g = gradient_of(*args)
+            peaks.setdefault("gradient", tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return g
+
+        def gn_step(*args):
+            peaks.setdefault("cast", tracemalloc.get_traced_memory()[1])
+            return cg(*args)
+
+        monkeypatch.setattr(otflow.solver, "_gradient_values", gradient_values)
+        monkeypatch.setattr(otflow.solver, "_gn_step", gn_step)
+        tracemalloc.start()
+        try:
+            solve(obs, config)
+        finally:
+            tracemalloc.stop()
+        assert peaks["cast"] <= peaks["gradient"]
 
     def test_rejects_observation_past_horizon(self):
         g = CellGrid([4, 4], [0.25, 0.25])
