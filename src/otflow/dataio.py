@@ -189,8 +189,11 @@ def read_volume(path) -> tuple[CellGrid, ScalarField]:
             f"{path}: datatype code {code}; only float32 (16) and int16 (4) are supported"
         )
     slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
-    if not (np.isfinite(slope) and np.isfinite(inter)):
-        raise HeaderError(f"{path}: scl_slope {slope} and scl_inter {inter} must be finite")
+    # a zero or non-finite slope means unscaled, as nifti1_io and nibabel read it
+    if not np.isfinite(slope):
+        slope = 0.0
+    if slope != 0.0 and not np.isfinite(inter):
+        raise HeaderError(f"{path}: scl_inter {inter} must be finite when scl_slope is {slope}")
     offset = int(round(float(hdr["vox_offset"])))
     if offset < _HEADER_SIZE:
         raise HeaderError(f"{path}: data offset {offset} overlaps the header")

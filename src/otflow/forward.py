@@ -197,13 +197,13 @@ class Sweep:
     deposit S(v_n) and the one shared solve D, and the velocity derivative of
     all intervals at once.
 
-    `forward_frames` appends each S as it advances, so a sweep holds exactly
-    the deposits its frames were made with. `push(n, x, inj)` is the linear
-    step x -> D(S_n x + inj), where inj is a velocity perturbation (`jvp`)
-    entering before the solve. D is symmetric, so y -> S_T[n] @ (D y) is the
-    transpose of push in x. S is CSC, so S^T is a CSR view of the same
-    arrays, not a copy; the views are cached because each `.T` builds a new
-    scipy matrix object, and at 32^2 that costs twice the product it feeds.
+    The deposits S, one per interval, are built from the fields on first use
+    and kept. `push(n, x, inj)` is the linear step x -> D(S_n x + inj), where
+    inj is a velocity perturbation (`jvp`) entering before the solve. D is
+    symmetric, so y -> S_T[n] @ (D y) is the transpose of push in x. S is
+    CSC, so S^T is a CSR view of the same arrays, not a copy; the views are
+    cached because each `.T` builds a new scipy matrix object, and at 32^2
+    that costs twice the product it feeds.
 
     Per axis k, G[k] is one block-diagonal CSC over the intervals (see
     `advection_weight_gradients`), so `jvp` and its transpose `vjp` make d
@@ -220,7 +220,10 @@ class Sweep:
     def __init__(self, fields: list[VectorField], diffusion: ImplicitDiffusion):
         self.fields = fields
         self.diffusion = diffusion
-        self.S = []
+
+    @cached_property
+    def S(self):
+        return [advection_interp_matrix(v, self.diffusion.dt) for v in self.fields]
 
     @cached_property
     def S_T(self):
@@ -288,8 +291,7 @@ def forward_frames(
     sweep = Sweep([VectorField(diffusion.grid, v_n) for v_n in v_values], diffusion)
     frames = np.empty((len(v_values) + 1, diffusion.grid.cell_count))
     frames[0] = rho0_values
-    for n, v_n in enumerate(sweep.fields):
-        sweep.S.append(advection_interp_matrix(v_n, diffusion.dt))
+    for n in range(len(v_values)):
         frames[n + 1] = sweep.push(n, frames[n])
         if not diffusion.is_identity:
             np.maximum(frames[n + 1], 0.0, out=frames[n + 1])

@@ -145,11 +145,21 @@ class TestHandCraftedAndMalformed:
         np.testing.assert_array_equal(field.values, slope * np.array([100, 200, 300, 400]) - 1.0)
         np.testing.assert_allclose(field.values, [0.0, 1.0, 2.0, 3.0], atol=1e-6)
 
-    @pytest.mark.parametrize("slope, inter", [(np.nan, 0.0), (1.0, np.inf)], ids=["slope", "inter"])
-    def test_non_finite_scaling_rejected(self, tmp_path, slope, inter):
+    @pytest.mark.parametrize("slope, inter", [(np.nan, 0.0), (np.inf, 2.0), (np.nan, np.nan)],
+                             ids=["nan", "inf", "nan_inter"])
+    def test_non_finite_slope_reads_unscaled(self, tmp_path, slope, inter):
+        # nibabel stores NaN here for unscaled float volumes
         blob = craft_nifti_bytes([4], [0.5], struct.pack("<4f", 1, 2, 3, 4),
                                  scl_slope=slope, scl_inter=inter)
         path = tmp_path / "nan_slope.nii"
+        path.write_bytes(blob)
+        _, field = read_volume(path)
+        np.testing.assert_array_equal(field.values, [1.0, 2.0, 3.0, 4.0])
+
+    def test_non_finite_intercept_rejected(self, tmp_path):
+        blob = craft_nifti_bytes([4], [0.5], struct.pack("<4f", 1, 2, 3, 4),
+                                 scl_slope=1.0, scl_inter=np.inf)
+        path = tmp_path / "inf_inter.nii"
         path.write_bytes(blob)
         with pytest.raises(HeaderError, match=re.escape(str(path)) + ".*must be finite"):
             read_volume(path)
