@@ -10,9 +10,9 @@ rho is the forward sweep of the split steps of `otflow.forward` from rho_0, the
 observation at time index 0. The gradient and the Gauss-Newton product
 (misfit curvature plus the diagonal energy curvature in v) run the one adjoint
 sweep with their own per-frame sources. GN directions come from matrix-free
-inner CG, safeguarded by Armijo backtracking, so the objective is
-non-increasing across iterations; the accepted trial's frames and sweep are
-the next linearization point.
+inner CG, preconditioned by the energy diagonal and safeguarded by Armijo
+backtracking, so the objective is non-increasing across iterations; the
+accepted trial's frames and sweep are the next linearization point.
 
 A restricted mode reproduces the classical fixed-endpoint transport baseline:
 densities normalized to unit total mass, no diffusion, and the endpoint
@@ -119,7 +119,7 @@ class ObservationSet:
 
 # Inner CG of the Gauss-Newton step: relative-residual target and iteration cap.
 GN_CG_TOLERANCE = 1e-2
-GN_CG_MAX_ITERS = 50
+GN_CG_MAX_ITERS = 30
 # Armijo backtracking: sufficient-decrease constant, shrink factor and cap.
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
@@ -253,34 +253,39 @@ def _gn_hessian_apply(
     return adjoint_sweep(sweep, frames, (misfit,), out=energy * dv)
 
 
-def _gn_step(hess_apply: Callable[[np.ndarray], np.ndarray], grad: np.ndarray) -> np.ndarray:
-    """Truncated CG on the Gauss-Newton normal equations H p = -g.
+def _gn_step(
+    hess_apply: Callable[[np.ndarray], np.ndarray], grad: np.ndarray, diag: np.ndarray
+) -> np.ndarray:
+    """Truncated CG on the Gauss-Newton normal equations H p = -g,
+    preconditioned by the positive diagonal `diag` (broadcast against g).
 
-    Stops early on the relative-residual target or on a flat/singular
-    direction; whatever iterate is reached is still a descent direction.
-    x, r and p are updated in place, and one scratch array takes the
-    products that are summed and the steps that are added.
+    Stops early on the relative target for the unpreconditioned residual or
+    on a flat/singular direction; whatever iterate is reached is still a
+    descent direction. x, r, z and p are updated in place, and one scratch
+    array takes the products that are summed and the steps that are added.
     """
     r = -grad
     bnorm = float(np.linalg.norm(r))
     x = np.zeros_like(r)
-    p = r.copy()
+    z = r / diag
+    p = z.copy()
     scratch = np.empty_like(r)
-    rs = float(np.multiply(r, r, out=scratch).sum())
+    rz = float(np.multiply(r, z, out=scratch).sum())
     for _ in range(GN_CG_MAX_ITERS):
         hp = hess_apply(p)
         curv = float(np.multiply(p, hp, out=scratch).sum())
         if curv <= 1e-16 * float(np.multiply(p, p, out=scratch).sum()):
             break
-        a = rs / curv
+        a = rz / curv
         x += np.multiply(p, a, out=scratch)
         r -= np.multiply(hp, a, out=scratch)
-        rs_new = float(np.multiply(r, r, out=scratch).sum())
-        if np.sqrt(rs_new) <= GN_CG_TOLERANCE * bnorm:
+        if np.sqrt(float(np.multiply(r, r, out=scratch).sum())) <= GN_CG_TOLERANCE * bnorm:
             break
-        p *= rs_new / rs
-        p += r
-        rs = rs_new
+        np.divide(r, diag, out=z)
+        rz_new = float(np.multiply(r, z, out=scratch).sum())
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
     return x
 
 
@@ -288,14 +293,18 @@ def _gn_direction(
     g: np.ndarray, frames: np.ndarray, sweep: Sweep, obs: ObservationSet, alpha: float
 ) -> np.ndarray:
     """The Gauss-Newton direction at the accepted iterate, for the float64
-    gradient g, its frames and its sweep cast to float32. The inner CG
-    runs in float32 (it only targets a relative residual of 1e-2), and the
-    direction comes back in float64 for the line search."""
+    gradient g, its frames and its sweep cast to float32. The inner CG runs
+    in float32, preconditioned by the energy diagonal coef * rho_n, to a
+    relative residual of 1e-2 or at most `GN_CG_MAX_ITERS` iterations; the
+    direction comes back in float64 for the line search. Where rho_n = 0,
+    g and every product are exactly 0, so the unit diagonal there only
+    keeps 0/0 out."""
     frames = frames.astype(np.float32)
     energy = _energy_curvature(frames, sweep)
     direction = _gn_step(
         lambda dv: _gn_hessian_apply(dv, frames, sweep, obs, alpha, energy),
         g.astype(np.float32),
+        np.where(energy > 0, energy, 1),
     )
     return direction.astype(float)
 

@@ -8,6 +8,7 @@ import scipy.sparse as sparse
 from otflow.forward import ImplicitDiffusion, Sweep, VelocitySeries
 from otflow.grid import CellGrid
 from otflow.operators import advection_weight_gradients
+from otflow.solver import GN_CG_MAX_ITERS, GN_CG_TOLERANCE
 
 
 def assemble_diffusion_operator(grid: CellGrid, sigma: float) -> sparse.csr_matrix:
@@ -95,6 +96,35 @@ def interval_adjoint_sweep(
         if n > 0:
             lam = sweep.S[n].T @ mu
     return out
+
+
+def unpreconditioned_gn_step(
+    hess_apply: Callable[[np.ndarray], np.ndarray], grad: np.ndarray
+) -> np.ndarray:
+    """Truncated CG on H p = -g with no preconditioner, at the solver's
+    relative-residual target and iteration cap, updating in place as the
+    solver does."""
+    r = -grad
+    bnorm = float(np.linalg.norm(r))
+    x = np.zeros_like(r)
+    p = r.copy()
+    scratch = np.empty_like(r)
+    rs = float(np.multiply(r, r, out=scratch).sum())
+    for _ in range(GN_CG_MAX_ITERS):
+        hp = hess_apply(p)
+        curv = float(np.multiply(p, hp, out=scratch).sum())
+        if curv <= 1e-16 * float(np.multiply(p, p, out=scratch).sum()):
+            break
+        a = rs / curv
+        x += np.multiply(p, a, out=scratch)
+        r -= np.multiply(hp, a, out=scratch)
+        rs_new = float(np.multiply(r, r, out=scratch).sum())
+        if np.sqrt(rs_new) <= GN_CG_TOLERANCE * bnorm:
+            break
+        p *= rs_new / rs
+        p += r
+        rs = rs_new
+    return x
 
 
 def finite_difference_gradient(

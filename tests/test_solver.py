@@ -20,11 +20,15 @@ from otflow.forward import (
 )
 from otflow.grid import CellGrid, ScalarField
 from otflow.solver import (
+    GN_CG_MAX_ITERS,
     ObservationEntry,
     ObservationSet,
     SolverConfig,
     _energy_curvature,
+    _gn_direction,
     _gn_hessian_apply,
+    _gn_step,
+    _gradient_values,
     gradient,
     objective,
     registration_errors,
@@ -34,7 +38,12 @@ from otflow.solver import (
 )
 from otflow.synth import add_noise, gaussian_blob
 
-from oracles import finite_difference_gradient, interval_adjoint_sweep, interval_linearized_sweep
+from oracles import (
+    finite_difference_gradient,
+    interval_adjoint_sweep,
+    interval_linearized_sweep,
+    unpreconditioned_gn_step,
+)
 from conftest import gradient_check_instance, philox, translating_pair
 
 
@@ -301,6 +310,94 @@ class TestSinglePrecisionProduct:
         )
         assert np.linalg.norm(hu - hu64) <= 1e-4 * np.linalg.norm(hu64)
         assert (u * hw).sum() == pytest.approx((hu * w).sum(), rel=1e-5)
+
+
+def _compact_problem(dims, steps):
+    """`_blob_problem` without diffusion and with blobs cut to exact zeros
+    below a fifth of their peak, so some rho_n vanish exactly."""
+    rho0, target, config = _blob_problem(dims, steps)
+    for field in (rho0, target):
+        field.values[field.values < 0.2 * field.values.max()] = 0.0
+    return rho0, target, dataclasses.replace(config, sigma=0.0)
+
+
+def _cast_linearisation(rho0, target, config, steps=3):
+    """The operands of the solve's CG at a random velocity: the float64
+    gradient and frames, the float32 frames, the sweep cast to float32, the
+    observations and the float32 energy curvature."""
+    grid = rho0.grid
+    obs = _pair_obs(rho0, target, steps)
+    v = 0.2 * philox(17).standard_normal((steps, grid.ndim, grid.cell_count))
+    diffusion = ImplicitDiffusion(grid, config.sigma, 1.0 / steps)
+    frames, sweep = forward_frames(v, rho0.values, diffusion)
+    g = _gradient_values(v, frames, sweep, obs, config.alpha)
+    sweep.cast(np.float32)
+    frames32 = frames.astype(np.float32)
+    energy = _energy_curvature(frames32, sweep)
+    return g, frames, frames32, sweep, obs, energy
+
+
+class TestPreconditionedStep:
+    @pytest.mark.parametrize("dims", [(12, 10), (6, 5, 4)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    def test_constant_diagonal_is_the_plain_cg(self, dims, scale):
+        # a power-of-two constant diagonal scales z, p and the products
+        # exactly, so it cancels in every step length, bit for bit
+        rho0, target, config = _blob_problem(dims, 3)
+        g, _, frames32, sweep, obs, energy = _cast_linearisation(rho0, target, config)
+        products = []
+
+        def hess_apply(dv):
+            products.append(1)
+            return _gn_hessian_apply(dv, frames32, sweep, obs, config.alpha, energy)
+
+        g32 = g.astype(np.float32)
+        got = _gn_step(hess_apply, g32, np.full_like(energy, scale))
+        ran = len(products)
+        want = unpreconditioned_gn_step(hess_apply, g32)
+        assert ran > 1 and len(products) == 2 * ran
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_density_gives_zero_direction(self):
+        rho0, target, config = _compact_problem((12, 10), 3)
+        g, frames, _, sweep, obs, energy = _cast_linearisation(rho0, target, config)
+        empty = frames[:-1] == 0.0  # (m, s)
+        assert empty.any() and (energy[:, 0] == 0).any()
+        direction = _gn_direction(g, frames, sweep, obs, config.alpha)
+        assert direction.dtype == np.float64
+        assert np.isfinite(direction).all()
+        assert (direction.transpose(0, 2, 1)[empty] == 0.0).all()
+        assert (direction.transpose(0, 2, 1)[~empty] != 0.0).any()
+
+    @pytest.mark.parametrize("problem", [_blob_problem, _compact_problem], ids=["blob", "compact"])
+    def test_at_most_the_cap_of_products_and_the_energy_diagonal(self, monkeypatch, problem):
+        rho0, target, config = problem((12, 10), 3)
+        products, steps = [], []
+        hessian_apply = otflow.solver._gn_hessian_apply
+        cg = otflow.solver._gn_step
+
+        def counted(*args):
+            products.append(args[-1])  # the energy diagonal of this linearisation
+            return hessian_apply(*args)
+
+        def gn_step(hess_apply, grad, diag):
+            start = len(products)
+            x = cg(hess_apply, grad, diag)
+            steps.append((products[start:], diag))
+            return x
+
+        monkeypatch.setattr(otflow.solver, "_gn_hessian_apply", counted)
+        monkeypatch.setattr(otflow.solver, "_gn_step", gn_step)
+        res = solve(_pair_obs(rho0, target, 3), config)
+        assert GN_CG_MAX_ITERS == 30
+        assert len(steps) == len(res.diagnostics) - 1 == 3
+        for energies, diag in steps:
+            assert 1 <= len(energies) <= GN_CG_MAX_ITERS
+            energy = energies[0]
+            assert all(e is energy for e in energies)
+            assert diag.dtype == np.float32
+            assert diag.tobytes() == np.where(energy > 0, energy, 1).tobytes()
 
 
 class TestSolve:
