@@ -194,9 +194,10 @@ def read_volume(path) -> tuple[CellGrid, ScalarField]:
         slope = 0.0
     if slope != 0.0 and not np.isfinite(inter):
         raise HeaderError(f"{path}: scl_inter {inter} must be finite when scl_slope is {slope}")
-    offset = int(round(float(hdr["vox_offset"])))
-    if offset < _HEADER_SIZE:
-        raise HeaderError(f"{path}: data offset {offset} overlaps the header")
+    offset = float(hdr["vox_offset"])
+    if not np.isfinite(offset) or round(offset) < _HEADER_SIZE:
+        raise HeaderError(f"{path}: data offset {offset} does not lie past the header")
+    offset = round(offset)
     grid = CellGrid(dims, spacing)
     need = grid.cell_count * dtype.itemsize
     data = raw[offset : offset + need]
@@ -246,21 +247,22 @@ def read_velocity_series(path_prefix) -> VelocitySeries:
     prefix = Path(path_prefix)
     path = f"{prefix}_manifest.json"
     manifest = _load_json_object(path, "velocity manifest")
-    for key in ("time_steps", "dt", "dims", "spacing"):
-        if key not in manifest:
-            raise ConfigError(f"{path}: missing key {key!r}", key)
-    dims = _typed_list(manifest["dims"], int, "dims")
-    spacing = _typed_list(manifest["spacing"], (int, float), "spacing")
-    steps = _typecheck(manifest["time_steps"], int, "time_steps")
-    dt = _typecheck(manifest["dt"], (int, float), "dt")
-    for key, ok, requirement in (
-        ("time_steps", steps >= 1, "at least 1"),
-        ("dt", dt > 0, "positive"),
-        ("dims", 1 <= len(dims) <= 3 and min(dims) > 0, "1 to 3 positive cell counts"),
-        ("spacing", len(spacing) == len(dims) and min(spacing) > 0, "positive, one per axis"),
-    ):
-        if not ok:
-            raise ConfigError(f"{path}: key {key!r} must be {requirement}, got {manifest[key]!r}", key)
+    try:
+        m = _read_object(manifest, "", {"time_steps": int, "dt": _NUMBER, "components": int,
+                                        "dims": [int], "spacing": [_NUMBER]}, {})
+        steps, dt, dims, spacing = m["time_steps"], m["dt"], m["dims"], m["spacing"]
+        for key, ok, requirement in (
+            ("time_steps", steps >= 1, "at least 1"),
+            ("dt", dt > 0, "positive"),
+            ("dims", 1 <= len(dims) <= 3 and min(dims) > 0, "1 to 3 positive cell counts"),
+            ("components", m["components"] == len(dims), "the number of axes in 'dims'"),
+            ("spacing", len(spacing) == len(dims) and min(spacing, default=0) > 0,
+             "positive, one per axis"),
+        ):
+            if not ok:
+                raise ConfigError(f"key {key!r} must be {requirement}, got {manifest[key]!r}", key)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}", exc.key) from exc
     grid = CellGrid(dims, spacing)
     time_grid = TimeGrid(steps, float(dt))
     values = np.empty((time_grid.steps, grid.ndim, grid.cell_count))
@@ -369,13 +371,16 @@ class RunConfig(SolverConfig):
         return _json_dump(doc)
 
 
+_NUMBER = (int, float)
+
+
 def _accepted_types(default) -> tuple[type, ...]:
     """JSON types a key accepts, read off its default."""
     if isinstance(default, (bool, int)):
         return (type(default),)
     if isinstance(default, float):
-        return (int, float)
-    return (int, float, type(None))
+        return _NUMBER
+    return _NUMBER + (type(None),)
 
 
 # key -> (accepted types, default) for every optional scalar key
@@ -406,7 +411,35 @@ def _typed_list(value, types, key: str) -> tuple:
 
 
 def _typenames(types) -> str:
-    return "/".join("null" if t is type(None) else t.__name__ for t in types)
+    return "/".join({type(None): "null", dict: "object"}.get(t, t.__name__) for t in types)
+
+
+def _read_object(doc, where: str, required: dict, optional: dict) -> dict:
+    """The keys of one JSON object, type-checked, with absent optional keys defaulted.
+
+    `required` maps key -> types and `optional` maps key -> (types, default);
+    types `[t]` read a list of t entries as a tuple. Unknown and missing keys
+    are rejected, and every error names the key's full path below `where`.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object", where)
+    prefix = f"{where}." if where else ""
+    specs = {**{key: (types, MISSING) for key, types in required.items()}, **optional}
+    for key in doc:
+        if key not in specs:
+            raise ConfigError(f"unknown key '{prefix}{key}'", prefix + key)
+    out = {}
+    for key, (types, default) in specs.items():
+        path = prefix + key
+        if key not in doc:
+            if default is MISSING:
+                raise ConfigError(f"missing required key {path!r}", path)
+            out[key] = default
+        elif isinstance(types, list):
+            out[key] = _typed_list(doc[key], types[0], path)
+        else:
+            out[key] = _typecheck(doc[key], types, path)
+    return out
 
 
 def _load_json_object(path, what: str) -> dict:
@@ -425,38 +458,21 @@ def read_config(path) -> RunConfig:
     Missing optional keys get their documented defaults; unknown keys and type
     mismatches are rejected with the offending key path.
     """
-    doc = _load_json_object(path, "run configuration")
-    known = set(_SCALAR_KEYS) | {"output_dir", "observations"}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r}", key)
-    if "output_dir" not in doc:
-        raise ConfigError("missing required key 'output_dir'", "output_dir")
-    output_dir = _typecheck(doc["output_dir"], str, "output_dir")
-    if "observations" not in doc:
-        raise ConfigError("missing required key 'observations'", "observations")
-    entries = doc["observations"]
-    if not isinstance(entries, list) or not entries:
+    doc = _read_object(_load_json_object(path, "run configuration"), "",
+                       {"output_dir": str, "observations": list}, _SCALAR_KEYS)
+    if not doc["observations"]:
         raise ConfigError("'observations' must be a nonempty list", "observations")
-
     refs = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(doc.pop("observations")):
         where = f"observations[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where} must be an object", where)
-        for key in entry:
-            if key not in ("time_index", "path", "weight"):
-                raise ConfigError(f"unknown key {where}.{key!r}", f"{where}.{key}")
-        if "time_index" not in entry or "path" not in entry:
-            raise ConfigError(f"{where} needs 'time_index' and 'path'", where)
-        idx = _typecheck(entry["time_index"], int, f"{where}.time_index")
-        if idx < 0:
+        e = _read_object(entry, where, {"time_index": int, "path": str},
+                         {"weight": (_NUMBER, 1.0)})
+        ref = ObservationRef(e["time_index"], e["path"], float(e["weight"]))
+        if ref.time_index < 0:
             raise ConfigError(f"{where}.time_index must be nonnegative", f"{where}.time_index")
-        p = _typecheck(entry["path"], str, f"{where}.path")
-        w = _typecheck(entry.get("weight", 1.0), (int, float), f"{where}.weight")
-        if w <= 0:
+        if ref.weight <= 0:
             raise ConfigError(f"{where}.weight must be positive", f"{where}.weight")
-        refs.append(ObservationRef(idx, p, float(w)))
+        refs.append(ref)
 
     indices = [r.time_index for r in refs]
     if len(set(indices)) != len(indices):
@@ -465,72 +481,41 @@ def read_config(path) -> RunConfig:
         raise ConfigError("an observation at time_index 0 is required", "observations")
     if max(indices) < 1:
         raise ConfigError("need at least one observation after time_index 0", "observations")
-
-    kwargs = {}
-    for key, (types, default) in _SCALAR_KEYS.items():
-        value = _typecheck(doc.get(key, default), types, key)
-        kwargs[key] = value
-    cfg = RunConfig(
-        output_dir=output_dir,
-        observations=tuple(sorted(refs, key=lambda r: r.time_index)),
-        **kwargs,
-    )
+    cfg = RunConfig(observations=tuple(sorted(refs, key=lambda r: r.time_index)), **doc)
     if max(indices) > cfg.time_steps:
         raise ConfigError(
             f"observation time_index {max(indices)} exceeds time_steps={cfg.time_steps}",
             "observations",
         )
+    # the baseline fits the last observation at T and has no per-observation weights
+    if cfg.baseline_mode and ({*indices} != {0, cfg.time_steps} or {r.weight for r in refs} != {1}):
+        raise ConfigError("baseline_mode needs exactly the observations at time_index 0 and "
+                          f"time_steps={cfg.time_steps}, each of weight 1", "observations")
     return cfg
 
 
 def read_synth_spec(path) -> SynthSpec:
     """Read a synthetic-instance description from JSON."""
-    doc = _load_json_object(path, "synthetic spec")
-    known = {
-        "dims", "spacing", "blobs", "velocity",
-        "sigma_true", "noise_std", "rng_seed", "observe_times",
-    }
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r}", key)
-    for key in ("dims", "spacing", "blobs", "velocity"):
-        if key not in doc:
-            raise ConfigError(f"missing required key {key!r}", key)
-    if not isinstance(doc["blobs"], list):
-        raise ConfigError("'blobs' must be a list", "blobs")
-    number = (int, float)
+    doc = _read_object(
+        _load_json_object(path, "synthetic spec"), "",
+        {"dims": [int], "spacing": [_NUMBER], "blobs": list, "velocity": dict},
+        {"sigma_true": (_NUMBER, 0.0), "noise_std": (_NUMBER, 0.0), "rng_seed": (int, 0),
+         "observe_times": ([_NUMBER], (0.0, 1.0))},
+    )
     blobs = []
     for i, b in enumerate(doc["blobs"]):
         where = f"blobs[{i}]"
-        if not isinstance(b, dict):
-            raise ConfigError(f"{where} must be an object", where)
+        b = _read_object(b, where, {"center": [_NUMBER], "width": _NUMBER, "mass": _NUMBER}, {})
         try:
-            blobs.append(Blob(
-                _typed_list(b["center"], number, f"{where}.center"),
-                float(_typecheck(b["width"], number, f"{where}.width")),
-                float(_typecheck(b["mass"], number, f"{where}.mass")),
-            ))
-        except (KeyError, ValueError) as exc:
+            blobs.append(Blob(b["center"], float(b["width"]), float(b["mass"])))
+        except ValueError as exc:
             raise ConfigError(f"{where}: {exc}", where) from exc
-    vel = doc["velocity"]
-    if not isinstance(vel, dict) or "kind" not in vel:
-        raise ConfigError("'velocity' must be an object with a 'kind'", "velocity")
+    vel = _read_object(doc["velocity"], "velocity", {"kind": str},
+                       {"value": ([_NUMBER], None), "center": ([_NUMBER], None),
+                        "rate": (_NUMBER, 0.0)})
     try:
-        model = VelocityModel(
-            kind=vel["kind"],
-            value=_typed_list(vel["value"], number, "velocity.value") if "value" in vel else None,
-            center=_typed_list(vel["center"], number, "velocity.center") if "center" in vel else None,
-            rate=float(_typecheck(vel.get("rate", 0.0), number, "velocity.rate")),
-        )
+        model = VelocityModel(vel["kind"], vel["value"], vel["center"], float(vel["rate"]))
     except ValueError as exc:
         raise ConfigError(f"'velocity': {exc}", "velocity") from exc
-    return SynthSpec(
-        dims=_typed_list(doc["dims"], int, "dims"),
-        spacing=_typed_list(doc["spacing"], number, "spacing"),
-        blobs=tuple(blobs),
-        velocity=model,
-        sigma_true=float(_typecheck(doc.get("sigma_true", 0.0), number, "sigma_true")),
-        noise_std=float(_typecheck(doc.get("noise_std", 0.0), number, "noise_std")),
-        rng_seed=_typecheck(doc.get("rng_seed", 0), int, "rng_seed"),
-        observe_times=_typed_list(doc.get("observe_times", [0.0, 1.0]), number, "observe_times"),
-    )
+    return SynthSpec(**dict(doc, blobs=tuple(blobs), velocity=model,
+                            sigma_true=float(doc["sigma_true"]), noise_std=float(doc["noise_std"])))

@@ -211,8 +211,9 @@ class TestFpaCommand:
         assert run("fpa", "--config", str(cfg)) == 1
         assert "stage 'load'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("dims", None), ("dims", "24x24"), ("dt", "0.5")],
-                             ids=["missing", "not-a-list", "mistyped"])
+    @pytest.mark.parametrize("key, value", [("dims", None), ("dims", "24x24"), ("dt", "0.5"),
+                                            ("bogus", 1)],
+                             ids=["missing", "not-a-list", "mistyped", "unknown"])
     def test_bad_velocity_manifest_fails_in_load(self, tmp_path, capsys, key, value):
         _channel_outputs(tmp_path)
         path = tmp_path / "out" / "velocity_manifest.json"
@@ -230,8 +231,9 @@ class TestFpaCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("dt", 0.0), ("dims", [8, -8]), ("time_steps", 0), ("spacing", [0.1, 0.0])],
-        ids=["dt-zero", "dims-negative", "no-steps", "spacing-zero"],
+        [("dt", 0.0), ("dims", [8, -8]), ("time_steps", 0), ("spacing", [0.1, 0.0]),
+         ("components", 3)],
+        ids=["dt-zero", "dims-negative", "no-steps", "spacing-zero", "components-mismatch"],
     )
     def test_out_of_range_velocity_manifest_names_path_and_key(
         self, tmp_path, capsys, key, value
@@ -342,6 +344,17 @@ class TestSynthCommand:
         out = tmp_path / "synth"
         assert run("synth", str(path), "--out", str(out), *dry_run) == 1
         assert "key 'blobs[0].width' must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry-run"])
+    def test_velocity_key_typo_fails_before_writing(self, tmp_path, capsys, dry_run):
+        doc = json.loads(self._spec(tmp_path).read_text())
+        doc["velocity"] = {"kind": "rotation", "center": [0.5, 0.5], "rat": 0.6}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "synth"
+        assert run("synth", str(path), "--out", str(out), *dry_run) == 1
+        assert "error: unknown key 'velocity.rat'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dims_not_a_list_names_key_under_dry_run(self, tmp_path, capsys):

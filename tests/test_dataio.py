@@ -164,6 +164,14 @@ class TestHandCraftedAndMalformed:
         with pytest.raises(HeaderError, match=re.escape(str(path)) + ".*must be finite"):
             read_volume(path)
 
+    @pytest.mark.parametrize("offset", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_vox_offset_names_file(self, tmp_path, offset):
+        blob = craft_nifti_bytes([4], [0.5], struct.pack("<4f", 1, 2, 3, 4), vox_offset=offset)
+        path = tmp_path / "bad_offset.nii"
+        path.write_bytes(blob)
+        with pytest.raises(HeaderError, match=re.escape(f"{path}: data offset {offset}")):
+            read_volume(path)
+
     def test_non_finite_voxel_names_file_and_index(self, tmp_path):
         payload = struct.pack("<6f", 0.0, 1.0, 2.0, 3.0, np.nan, np.inf)
         path = tmp_path / "nan_voxel.nii"
@@ -253,6 +261,14 @@ class TestVelocitySeries:
         assert got.grid == grid
         assert got.time_grid == tg
         assert np.array_equal(got.values, v.values)
+
+    def test_empty_grid_in_manifest_names_key(self, tmp_path):
+        path = tmp_path / "velocity_manifest.json"
+        path.write_text(json.dumps({"time_steps": 1, "dt": 1.0, "components": 0,
+                                    "dims": [], "spacing": []}))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: key 'dims' must be")) as info:
+            read_velocity_series(tmp_path / "velocity")
+        assert info.value.key == "dims"
 
 
 class TestStreamlineAndClusterFiles:
@@ -402,6 +418,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             read_config(path)
 
+    @pytest.mark.parametrize(
+        "observations",
+        [[(0, 1.0), (2, 1.0), (4, 1.0)], [(0, 1.0), (3, 1.0)], [(0, 1.0), (4, 2.0)]],
+        ids=["intermediate", "endpoint-before-T", "weighted"],
+    )
+    def test_baseline_mode_rejects_observations_it_would_ignore(self, tmp_path, observations):
+        doc = dict(MINIMAL_CONFIG, baseline_mode=True, observations=[
+            {"time_index": n, "path": f"rho{n}.nii", "weight": w} for n, w in observations
+        ])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="baseline_mode") as info:
+            read_config(path)
+        assert info.value.key == "observations"
+        path.write_text(json.dumps(dict(doc, baseline_mode=False)))
+        assert len(read_config(path).observations) == len(observations)
+
     @pytest.mark.parametrize("time_index", [-1, -4])
     def test_negative_time_index_names_path(self, tmp_path, time_index):
         doc = json.loads(json.dumps(MINIMAL_CONFIG))
@@ -460,13 +493,18 @@ class TestSynthSpecFile:
              "blobs[0].width"),
             ({"blobs": [{"center": [0.4, 0.5], "width": 0.1, "mass": "2"}]},
              "blobs[0].mass"),
+            ({"velocity": {"kind": "rotation", "center": [0.5, 0.5], "rat": 0.6}},
+             "velocity.rat"),
+            ({"blobs": [{"center": [0.4, 0.5], "widht": 0.1, "mass": 2.0}]},
+             "blobs[0].widht"),
         ],
         ids=["blobs-not-a-list", "spacing-length", "blob-center-length",
              "velocity-value-length", "velocity-center-length", "rotation-in-1d",
              "dims-not-a-list", "dims-zero", "spacing-not-numeric", "spacing-negative",
              "sigma-true-not-numeric", "noise-std-not-numeric", "rng-seed-not-int",
              "rng-seed-negative", "observe-times-not-a-list", "velocity-rate-not-numeric",
-             "velocity-kind-unknown", "blob-width-bool", "blob-mass-string"],
+             "velocity-kind-unknown", "blob-width-bool", "blob-mass-string",
+             "velocity-key-typo", "blob-key-typo"],
     )
     def test_malformed_spec_names_key(self, tmp_path, change, key):
         path = tmp_path / "spec.json"
@@ -474,6 +512,15 @@ class TestSynthSpecFile:
         with pytest.raises(ConfigError, match=re.escape(f"'{key}'")) as info:
             read_synth_spec(path)
         assert info.value.key == key
+
+    def test_readme_example_reads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Synthetic spec", 1)[1].split("\n### ", 1)[0]
+        path = tmp_path / "spec.json"
+        path.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+        spec = read_synth_spec(path)
+        assert spec.dims == (32, 32)
+        assert spec.velocity.kind == "constant"
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "spec.json"
