@@ -25,6 +25,7 @@ from .bundles import cluster_label_volume, quickbundles, resample_track, signifi
 from .dataio import (
     RunConfig,
     _json_dump,
+    check_baseline_observations,
     read_config,
     read_synth_spec,
     read_velocity_series,
@@ -211,6 +212,11 @@ def _read_series_dir(path: Path) -> DensitySeries:
 def cmd_compare(args) -> int:
     result_path = Path(args.result)
     target_path = Path(args.target)
+    if args.baseline:
+        if not args.config:
+            return _fail("--baseline needs --config to locate the observations")
+        cfg = read_config(args.config)
+        check_baseline_observations(cfg)
     if args.dry_run:
         for p in (result_path, target_path):
             if not p.exists():
@@ -233,9 +239,6 @@ def cmd_compare(args) -> int:
     rows.append(("result", "inf_norm", "", inf_norm))
 
     if args.baseline:
-        if not args.config:
-            return _fail("--baseline needs --config to locate the observations")
-        cfg = read_config(args.config)
         obs = _load_observations(cfg)
         baseline = solve_baseline(obs.initial, obs.entries[-1].observed, cfg)
         final = baseline.densities.frame(baseline.densities.time_grid.steps)

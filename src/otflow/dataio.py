@@ -45,6 +45,7 @@ __all__ = [
     "write_clusters_json",
     "ObservationRef",
     "RunConfig",
+    "check_baseline_observations",
     "read_config",
     "read_synth_spec",
 ]
@@ -487,11 +488,21 @@ def read_config(path) -> RunConfig:
             f"observation time_index {max(indices)} exceeds time_steps={cfg.time_steps}",
             "observations",
         )
-    # the baseline fits the last observation at T and has no per-observation weights
-    if cfg.baseline_mode and ({*indices} != {0, cfg.time_steps} or {r.weight for r in refs} != {1}):
-        raise ConfigError("baseline_mode needs exactly the observations at time_index 0 and "
-                          f"time_steps={cfg.time_steps}, each of weight 1", "observations")
+    if cfg.baseline_mode:
+        check_baseline_observations(cfg)
     return cfg
+
+
+def check_baseline_observations(cfg: RunConfig) -> None:
+    """Refuse, keyed `observations`, a config that the fixed-endpoint baseline
+    (`baseline_mode` or `compare --baseline`) would misread: it fits the last
+    observation at T and has no per-observation weights, so it needs exactly
+    the observations at time_index 0 and `time_steps`, each of weight 1."""
+    refs = cfg.observations
+    if {r.time_index for r in refs} != {0, cfg.time_steps} or {r.weight for r in refs} != {1}:
+        raise ConfigError("the baseline (baseline_mode, compare --baseline) needs exactly the "
+                          f"observations at time_index 0 and time_steps={cfg.time_steps}, "
+                          "each of weight 1", "observations")
 
 
 def read_synth_spec(path) -> SynthSpec:

@@ -9,10 +9,12 @@ alpha a `SolverConfig` field and w_n the observation's weight. The trajectory
 rho is the forward sweep of the split steps of `otflow.forward` from rho_0, the
 observation at time index 0. The gradient and the Gauss-Newton product
 (misfit curvature plus the diagonal energy curvature in v) run the one adjoint
-sweep with their own per-frame sources. GN directions come from matrix-free
-inner CG, preconditioned by the energy diagonal and safeguarded by Armijo
-backtracking, so the objective is non-increasing across iterations; the
-accepted trial's frames and sweep are the next linearization point.
+sweep with their own per-frame sources. The solve starts from the
+linearised-OT velocity between consecutive observations. GN directions come
+from matrix-free inner CG, preconditioned by the energy diagonal and
+safeguarded by Armijo backtracking, so the objective is non-increasing across
+iterations; the accepted trial's frames and sweep are the next linearization
+point.
 
 A restricted mode reproduces the classical fixed-endpoint transport baseline:
 densities normalized to unit total mass, no diffusion, and the endpoint
@@ -256,8 +258,9 @@ def _gn_hessian_apply(
 def _gn_step(
     hess_apply: Callable[[np.ndarray], np.ndarray], grad: np.ndarray, diag: np.ndarray
 ) -> np.ndarray:
-    """Truncated CG on the Gauss-Newton normal equations H p = -g,
-    preconditioned by the positive diagonal `diag` (broadcast against g).
+    """Truncated CG on an SPD system H p = -g, preconditioned by the positive
+    diagonal `diag` (broadcast against g): the Gauss-Newton normal equations,
+    and the weighted Laplacian of the start.
 
     Stops early on the relative target for the unpreconditioned residual or
     on a flat/singular direction; whatever iterate is reached is still a
@@ -338,9 +341,73 @@ def gradient(v: VelocitySeries, obs: ObservationSet, config: SolverConfig) -> Ve
     return VelocitySeries(v.grid, v.time_grid, values)
 
 
+def _to_cells(faces: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of the two face values beside each cell along `axis`, from the
+    values on the interior faces; a wall face counts 0."""
+    shape = list(faces.shape)
+    shape[axis] += 1
+    cells = np.zeros(shape, order="F")
+    lower, upper = np.moveaxis(cells, axis, 0), np.moveaxis(faces, axis, 0)
+    lower[:-1] += upper
+    lower[1:] += upper
+    return cells
+
+
+def _weighted_laplacian(rho_bar: np.ndarray, grid: CellGrid) -> tuple[Callable, np.ndarray]:
+    """L = -div(rho_bar grad) with zero flux through the walls, on cell
+    vectors in canonical order, and its diagonal. A face's weight is the mean
+    of its two cells; L is symmetric positive semidefinite with the constants
+    as its null space when rho_bar > 0."""
+    def cells(x: np.ndarray) -> np.ndarray:
+        return x.reshape(grid.dims, order="F")
+
+    weights = []
+    for k, h in enumerate(grid.spacing):
+        pairs = np.moveaxis(cells(rho_bar), k, 0)
+        weights.append(np.moveaxis(pairs[:-1] + pairs[1:], 0, k) / (2 * h * h))
+
+    def apply(phi: np.ndarray) -> np.ndarray:
+        phi = cells(phi)
+        return -sum(np.diff(w * np.diff(phi, axis=k), axis=k, prepend=0, append=0)
+                    for k, w in enumerate(weights)).ravel(order="F")
+
+    return apply, sum(_to_cells(w, k) for k, w in enumerate(weights)).ravel(order="F")
+
+
+def _linearised_start(obs: ObservationSet, time_grid: TimeGrid) -> np.ndarray:
+    """The starting velocity, shape (m, d, s): the linearised-OT flow between
+    each pair of consecutive observations (i, j), on every interval from i to j.
+
+    Linearising the continuity equation at rho_bar = (rho_i + rho_j) / 2 and
+    taking the least-energy potential flow gives v = grad phi with
+    -div(rho_bar grad phi) = (rho_j - rho_i) / tau, tau = (j - i) dt: the
+    weighted H^-1 linearisation of W2 (Peyre, ESAIM COCV 2018) in the
+    variables of Benamou & Brenier (Numer. Math. 2000). rho_bar is floored at
+    1e-6 of its maximum and the right-hand side's mean is removed, so the
+    system is consistent; `_gn_step` solves it, preconditioned by L's diagonal
+    (1 where that is 0: an all-length-1 grid or no mass). A cell's velocity is
+    the mean of the gradients on its two faces, a wall face's being 0. Equal
+    observations give exactly 0.
+    """
+    grid = obs.grid
+    v = np.zeros((time_grid.steps, grid.ndim, grid.cell_count))
+    for a, b in zip(obs.entries, obs.entries[1:]):
+        rho_bar = 0.5 * (a.observed.values + b.observed.values)
+        laplacian, diag = _weighted_laplacian(np.maximum(rho_bar, 1e-6 * rho_bar.max()), grid)
+        tau = (b.time_index - a.time_index) * time_grid.dt
+        rhs = (b.observed.values - a.observed.values) / tau
+        phi = _gn_step(laplacian, rhs.mean() - rhs, np.where(diag > 0, diag, 1))
+        phi = phi.reshape(grid.dims, order="F")
+        for k, h in enumerate(grid.spacing):
+            cell_gradient = 0.5 * _to_cells(np.diff(phi, axis=k) / h, k)
+            v[a.time_index:b.time_index, k] = cell_gradient.ravel(order="F")
+    return v
+
+
 def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
-    """Gauss-Newton minimization of the objective, starting from zero velocity
-    and from the density observed at time index 0."""
+    """Gauss-Newton minimization of the objective from the density observed
+    at time index 0, starting from the linearised-OT velocity of
+    `_linearised_start`."""
     _validate_problem(obs, config)
     grid = obs.grid
     rho0 = obs.initial.values
@@ -348,7 +415,7 @@ def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
     time_grid = TimeGrid.unit_horizon(config.time_steps)
     diffusion = ImplicitDiffusion(grid, config.sigma, time_grid.dt)
 
-    v = np.zeros((time_grid.steps, grid.ndim, grid.cell_count))
+    v = _linearised_start(obs, time_grid)
     frames, sweep = forward_frames(v, rho0, diffusion)
     phi, energy, misfit = _objective_terms(v, frames, sweep, obs, alpha)
     g = _gradient_values(v, frames, sweep, obs, alpha)

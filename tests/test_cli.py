@@ -6,8 +6,9 @@ import pytest
 from otflow.forward import TimeGrid, VelocitySeries
 from otflow.grid import CellGrid, ScalarField
 from otflow.synth import add_noise, gaussian_blob
-from otflow.cli import main
+from otflow.cli import _build_parser, main
 from otflow.dataio import read_streamlines_jsonl, read_volume, write_velocity_series, write_volume
+from otflow.errors import ConfigError
 
 
 def run(*argv):
@@ -423,6 +424,25 @@ class TestCompareCommand:
                    "--baseline", "--config", str(cfg), "--csv", str(csv_path)) == 0
         labels = {r.split(",")[0] for r in csv_path.read_text().splitlines()[1:]}
         assert labels == {"result", "baseline"}
+
+
+    @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry-run"])
+    def test_baseline_flag_refuses_what_baseline_mode_refuses(self, tmp_path, capsys, dry_run):
+        # the last observation at index 2 of 4, with weight 3: the baseline
+        # would fit it at T and drop its weight
+        write_pair(tmp_path)
+        cfg = write_config(tmp_path, time_steps=4, final_index=2, baseline_mode=False)
+        doc = json.loads(cfg.read_text())
+        doc["observations"][1]["weight"] = 3.0
+        cfg.write_text(json.dumps(doc))
+        argv = ["compare", str(tmp_path / "rhoT.nii"), str(tmp_path / "rhoT.nii"),
+                "--baseline", "--config", str(cfg), *dry_run]
+        assert run(*argv) == 1
+        assert "compare --baseline) needs exactly the observations" in capsys.readouterr().err
+        args = _build_parser().parse_args(argv)
+        with pytest.raises(ConfigError) as info:
+            args.func(args)
+        assert info.value.key == "observations"
 
 
 class TestDeterminism:

@@ -20,6 +20,7 @@ from otflow.forward import TimeGrid, VelocitySeries
 from otflow.grid import CellGrid, ScalarField
 from otflow.dataio import (
     RunConfig,
+    check_baseline_observations,
     read_config,
     read_streamlines_jsonl,
     read_synth_spec,
@@ -434,6 +435,12 @@ class TestRunConfig:
         assert info.value.key == "observations"
         path.write_text(json.dumps(dict(doc, baseline_mode=False)))
         assert len(read_config(path).observations) == len(observations)
+
+    def test_baseline_rule_passes_the_denoise_config(self, tmp_path):
+        # the shape of the denoise2d benchmark config: indices 0 and time_steps = 4, weight 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(MINIMAL_CONFIG, sigma=0.05, alpha=0.3, time_steps=4)))
+        check_baseline_observations(read_config(path))
 
     @pytest.mark.parametrize("time_index", [-1, -4])
     def test_negative_time_index_names_path(self, tmp_path, time_index):

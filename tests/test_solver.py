@@ -29,6 +29,8 @@ from otflow.solver import (
     _gn_hessian_apply,
     _gn_step,
     _gradient_values,
+    _linearised_start,
+    _weighted_laplacian,
     gradient,
     objective,
     registration_errors,
@@ -36,7 +38,16 @@ from otflow.solver import (
     solve,
     solve_baseline,
 )
-from otflow.synth import add_noise, gaussian_blob
+from otflow.synth import (
+    Blob,
+    SynthSpec,
+    VelocityModel,
+    add_noise,
+    gaussian_blob,
+    initial_density,
+    true_density,
+    true_velocity_series,
+)
 
 from oracles import (
     finite_difference_gradient,
@@ -132,6 +143,20 @@ class TestGradient:
         fd = finite_difference_gradient(
             lambda w: objective(w, obs, cfg).total, v, dv, 1e-5
         )
+        assert adjoint == pytest.approx(fd, rel=1e-5)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_matches_central_differences_with_weighted_interior_frames(self, sigma):
+        rho0, obs, cfg, v, dv = gradient_check_instance(3, sigma)
+        grid = rho0.grid
+        interior = [
+            ObservationEntry(n, ScalarField(grid, gaussian_blob(grid, c, 0.15, 1.0).values
+                                            + 0.05 / grid.cell_count), weight)
+            for n, c, weight in ((1, (0.48, 0.53), 2.5), (2, (0.52, 0.57), 0.7))
+        ]
+        obs = ObservationSet(obs.entries + interior)
+        adjoint = float((gradient(v, obs, cfg).values * dv.values).sum())
+        fd = finite_difference_gradient(lambda w: objective(w, obs, cfg).total, v, dv, 1e-5)
         assert adjoint == pytest.approx(fd, rel=1e-5)
 
     def test_misfit_part_linear_in_alpha(self):
@@ -373,6 +398,7 @@ class TestPreconditionedStep:
     @pytest.mark.parametrize("problem", [_blob_problem, _compact_problem], ids=["blob", "compact"])
     def test_at_most_the_cap_of_products_and_the_energy_diagonal(self, monkeypatch, problem):
         rho0, target, config = problem((12, 10), 3)
+        gn_shape = (3, 2, rho0.grid.cell_count)  # (m, d, s)
         products, steps = [], []
         hessian_apply = otflow.solver._gn_hessian_apply
         cg = otflow.solver._gn_step
@@ -384,7 +410,8 @@ class TestPreconditionedStep:
         def gn_step(hess_apply, grad, diag):
             start = len(products)
             x = cg(hess_apply, grad, diag)
-            steps.append((products[start:], diag))
+            if grad.shape == gn_shape:  # a Gauss-Newton step, not the start's solve
+                steps.append((products[start:], diag))
             return x
 
         monkeypatch.setattr(otflow.solver, "_gn_hessian_apply", counted)
@@ -398,6 +425,154 @@ class TestPreconditionedStep:
             assert all(e is energy for e in energies)
             assert diag.dtype == np.float32
             assert diag.tobytes() == np.where(energy > 0, energy, 1).tobytes()
+
+
+class TestWeightedLaplacian:
+    @staticmethod
+    def _operator(dims, seed):
+        grid = CellGrid(list(dims), [1.0 / (n + 1) for n in dims])
+        rho_bar = philox(seed).uniform(0.1, 2.0, grid.cell_count)
+        return (*_weighted_laplacian(rho_bar, grid), philox(seed + 1))
+
+    @pytest.mark.parametrize("dims", [(7,), (6, 5), (4, 5, 3)], ids=["1d", "2d", "3d"])
+    def test_symmetric(self, dims):
+        laplacian, _, rng = self._operator(dims, 3)
+        x, y = rng.standard_normal((2, int(np.prod(dims))))
+        assert laplacian(x) @ y == pytest.approx(x @ laplacian(y), rel=1e-12)
+
+    @pytest.mark.parametrize("dims", [(7,), (6, 5), (4, 5, 3)], ids=["1d", "2d", "3d"])
+    def test_constants_in_null_space_and_conservative(self, dims):
+        laplacian, _, rng = self._operator(dims, 5)
+        size = int(np.prod(dims))
+        assert (laplacian(np.full(size, 2.5)) == 0.0).all()
+        out = laplacian(rng.standard_normal(size))
+        assert abs(out.sum()) <= 1e-12 * np.abs(out).sum()
+
+    @pytest.mark.parametrize("dims", [(7,), (6, 5), (4, 5, 3)], ids=["1d", "2d", "3d"])
+    def test_diagonal_is_the_operators(self, dims):
+        laplacian, diag, _ = self._operator(dims, 7)
+        unit = np.eye(int(np.prod(dims)))
+        np.testing.assert_allclose([laplacian(e) @ e for e in unit], diag, rtol=1e-14)
+
+    def test_length_one_axis_is_a_dropped_axis(self):
+        # canonical order is the same with and without a length-1 axis
+        rho_bar, x = philox(9).uniform(0.1, 2.0, (2, 24))
+        full, full_diag = _weighted_laplacian(rho_bar, CellGrid([6, 1, 4], [0.2, 0.5, 0.25]))
+        flat, flat_diag = _weighted_laplacian(rho_bar, CellGrid([6, 4], [0.2, 0.25]))
+        assert full(x).tobytes() == flat(x).tobytes()
+        assert full_diag.tobytes() == flat_diag.tobytes()
+
+
+def _rotating_pair(n=48):
+    """Two blobs rotating about the centre of an n x n unit square, rate 0.6."""
+    spec = SynthSpec(
+        dims=(n, n),
+        spacing=(1 / n, 1 / n),
+        blobs=(Blob((0.3, 0.5), 0.08, 1.0), Blob((0.7, 0.5), 0.08, 1.0)),
+        velocity=VelocityModel("rotation", center=(0.5, 0.5), rate=0.6),
+    )
+    return spec, initial_density(spec), true_density(spec, 1.0)
+
+
+class TestLinearisedStart:
+    def test_translation_drifts_by_the_shift(self):
+        spec, truth0, truth_T = translating_pair()
+        shift = np.asarray(spec.velocity.value)
+        tg = TimeGrid.unit_horizon(4)
+        v = _linearised_start(_pair_obs(truth0, truth_T, 4), tg)
+        frames, _ = forward_frames(v, truth0.values, ImplicitDiffusion(truth0.grid, 0.0, tg.dt))
+        # the mass-weighted displacement over the swept frames
+        drift = sum(tg.dt * (rho * v_n).sum(axis=1) / rho.sum() for rho, v_n in zip(frames, v))
+        assert drift[0] / shift[0] == pytest.approx(1.0, abs=0.03)
+        assert abs(drift[1]) <= 1e-3 * shift[0]
+
+    @pytest.mark.parametrize("case", [
+        ("translation", 32, 3, 0.3), ("translation", 32, 3, 300.0),
+        ("translation", 64, 6, 0.3), ("translation", 64, 6, 300.0),
+        ("rotation", 48, None, 0.3), ("rotation", 48, None, 300.0),
+    ], ids=lambda c: f"{c[0]}{c[1]}-alpha{c[3]:g}")
+    def test_reaches_the_optimum_of_the_true_velocity(self, monkeypatch, case):
+        # 40 noise-free Gauss-Newton iterations from the start end at or below
+        # phi(v*) and within 2x of the phi that the same iterations reach from v*
+        kind, n, shift_cells, alpha = case
+        if kind == "translation":
+            spec, truth0, truth_T = translating_pair(n=n, shift_cells=shift_cells)
+        else:
+            spec, truth0, truth_T = _rotating_pair(n)
+        obs = _pair_obs(truth0, truth_T, 4)
+        config = SolverConfig(sigma=0.0, alpha=alpha, time_steps=4, max_gn_iters=40)
+        v_star = true_velocity_series(spec, TimeGrid.unit_horizon(4))
+        phi_star = objective(v_star, obs, config).total
+        from_start = solve(obs, config).diagnostics[-1].phi
+        monkeypatch.setattr(otflow.solver, "_linearised_start", lambda *_: v_star.values.copy())
+        from_truth = solve(obs, config).diagnostics[-1].phi
+        assert from_start <= phi_star
+        assert from_start <= 2.0 * from_truth
+
+    @pytest.mark.parametrize("kind", ["identical", "empty"])
+    def test_exactly_zero_without_transport(self, kind):
+        grid = CellGrid([9, 7], [1 / 9, 1 / 7])
+        rho = gaussian_blob(grid, (0.4, 0.5), 0.2, 1.0)
+        if kind == "empty":
+            rho = ScalarField(grid, np.zeros(grid.cell_count))
+        obs = _pair_obs(rho, ScalarField(grid, rho.values.copy()), 3)
+        v = _linearised_start(obs, TimeGrid.unit_horizon(3))
+        assert v.shape == (3, 2, grid.cell_count)
+        assert (v == 0.0).all()
+        res = solve(obs, SolverConfig(sigma=0.0, time_steps=3))
+        assert res.termination == "gradient" and len(res.diagnostics) == 1
+
+    def test_a_consistent_positive_definite_system_where_mass_is_missing(self, monkeypatch):
+        # zero flux through the walls needs a right-hand side of zero sum, and
+        # the floor on rho_bar keeps every face weight positive where the
+        # observations vanish, so the preconditioner is L's own diagonal
+        rho0, target, _ = _compact_problem((12, 10), 3)
+        target.values *= 1.5
+        systems = []
+        cg = otflow.solver._gn_step
+
+        def gn_step(hess_apply, grad, diag):
+            systems.append((hess_apply, grad, diag))
+            return cg(hess_apply, grad, diag)
+
+        monkeypatch.setattr(otflow.solver, "_gn_step", gn_step)
+        v = _linearised_start(_pair_obs(rho0, target, 3), TimeGrid.unit_horizon(3))
+        ((laplacian, rhs, diag),) = systems
+        assert (rho0.values == 0.0).any() and abs(rhs.sum()) <= 1e-12 * np.abs(rhs).sum()
+        assert (diag > 0).all()
+        unit = np.eye(rho0.grid.cell_count)
+        np.testing.assert_allclose([laplacian(e) @ e for e in unit], diag, rtol=1e-12)
+        assert np.isfinite(v).all() and (v != 0.0).any()
+
+    def test_single_cell_grid_stays_finite(self):
+        grid = CellGrid([1, 1], [0.5, 0.5])
+        obs = _pair_obs(ScalarField(grid, [1.0]), ScalarField(grid, [2.0]), 2)
+        v = _linearised_start(obs, TimeGrid.unit_horizon(2))
+        assert (v == 0.0).all()
+
+    def test_one_flow_per_observation_interval(self, monkeypatch):
+        # iteration 0 of a three-observation solve: constant on each interval
+        # between observations and different between them
+        grid = CellGrid([24, 16], [1 / 24, 1 / 16])
+        entries = [ObservationEntry(n, gaussian_blob(grid, (x, 0.5), 0.12, 1.0))
+                   for n, x in ((0, 0.35), (2, 0.45), (4, 0.5))]
+        starts = []
+        sweep_of = otflow.solver.forward_frames
+
+        def forward_frames_spy(v, *args):
+            starts.append(v.copy())
+            return sweep_of(v, *args)
+
+        monkeypatch.setattr(otflow.solver, "forward_frames", forward_frames_spy)
+        solve(ObservationSet(entries), SolverConfig(sigma=0.0, time_steps=4, max_gn_iters=1))
+        v = starts[0]
+        assert v[0].tobytes() == v[1].tobytes() and v[2].tobytes() == v[3].tobytes()
+        assert v[0].tobytes() != v[2].tobytes()
+        # the mean-density-weighted velocity is the blob's shift over its time:
+        # 0.1 in 0.5 on the first interval, 0.05 in 0.5 on the second
+        for (a, b), n, speed in zip(zip(entries, entries[1:]), (0, 2), (0.2, 0.1)):
+            rho_bar = a.observed.values + b.observed.values
+            assert (rho_bar * v[n, 0]).sum() / rho_bar.sum() == pytest.approx(speed, rel=0.02)
 
 
 class TestSolve:
@@ -462,6 +637,7 @@ class TestSolve:
 
     def test_cg_runs_with_the_float64_linearisation_released(self, monkeypatch):
         rho0, target, config = _blob_problem((12, 10), 3)
+        gn_shape = (3, 2, rho0.grid.cell_count)  # (m, d, s)
         swept, cast, weights, seen = [], [], [], []
         sweep_of = otflow.solver.forward_frames
         cast_of = otflow.forward.Sweep.cast
@@ -481,7 +657,9 @@ class TestSolve:
             cast.append(weakref.ref(sweep))
             return cast_of(sweep, dtype)
 
-        def gn_step(*args):
+        def gn_step(hess_apply, grad, diag):
+            if grad.shape != gn_shape:  # the start's solve, before any sweep
+                return cg(hess_apply, grad, diag)
             # in the CG every float64 weight array is dead, and the accepted
             # sweep, cast to float32, is the only sweep alive
             alive = [ref() for ref in swept if ref() is not None]
@@ -491,7 +669,7 @@ class TestSolve:
                 {M.dtype for M in (*alive[0].S, *alive[0].G)} == {np.dtype(np.float32)},
             ))
             del alive
-            return cg(*args)
+            return cg(hess_apply, grad, diag)
 
         monkeypatch.setattr(otflow.solver, "forward_frames", forward_frames)
         monkeypatch.setattr(otflow.forward.Sweep, "cast", sweep_cast)
@@ -507,6 +685,7 @@ class TestSolve:
         config = dataclasses.replace(config, max_gn_iters=1)
         obs = _pair_obs(rho0, target, 3)
         solve(obs, config)  # warm-up: first-call allocations are not the solve's
+        gn_shape = (3, 3, rho0.grid.cell_count)  # (m, d, s)
         peaks = {}
         gradient_of = otflow.solver._gradient_values
         cg = otflow.solver._gn_step
@@ -518,9 +697,10 @@ class TestSolve:
             tracemalloc.reset_peak()
             return g
 
-        def gn_step(*args):
-            peaks.setdefault("cast", tracemalloc.get_traced_memory()[1])
-            return cg(*args)
+        def gn_step(hess_apply, grad, diag):
+            if grad.shape == gn_shape:  # a Gauss-Newton step, not the start's solve
+                peaks.setdefault("cast", tracemalloc.get_traced_memory()[1])
+            return cg(hess_apply, grad, diag)
 
         monkeypatch.setattr(otflow.solver, "_gradient_values", gradient_values)
         monkeypatch.setattr(otflow.solver, "_gn_step", gn_step)
