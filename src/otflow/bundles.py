@@ -21,7 +21,6 @@ __all__ = [
     "Cluster",
     "ClusterSet",
     "resample_track",
-    "mdf_distance",
     "quickbundles",
     "significant_clusters",
     "cluster_label_volume",
@@ -88,16 +87,6 @@ def _mean_pointwise(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     direct = float(np.linalg.norm(a - b, axis=1).mean())
     flipped = float(np.linalg.norm(a - b[::-1], axis=1).mean())
     return direct, flipped
-
-
-def mdf_distance(a: ResampledTrack, b: ResampledTrack) -> float:
-    """Minimum average direct-flip distance between two equal-length tracks."""
-    if a.n_points != b.n_points:
-        raise ValueError(
-            f"tracks have different point counts ({a.n_points} vs {b.n_points})"
-        )
-    direct, flipped = _mean_pointwise(a.points, b.points)
-    return min(direct, flipped)
 
 
 def quickbundles(tracks: list[ResampledTrack], threshold: float) -> ClusterSet:

@@ -33,7 +33,7 @@ from .forward import TimeGrid, VelocitySeries
 from .grid import CellGrid, ScalarField
 from .solver import SolverConfig
 from .streamlines import Streamline
-from .synth import Blob, SynthSpec, VelocityModel
+from .synth import _NIFTI_MAX_DIM, Blob, SynthSpec, VelocityModel
 
 __all__ = [
     "read_volume",
@@ -41,7 +41,6 @@ __all__ = [
     "write_velocity_series",
     "read_velocity_series",
     "write_streamlines_jsonl",
-    "read_streamlines_jsonl",
     "write_clusters_json",
     "ObservationRef",
     "RunConfig",
@@ -130,6 +129,9 @@ def write_volume(path, grid: CellGrid, field) -> None:
     values = np.asarray(values, dtype=float).ravel()
     if values.shape != (grid.cell_count,):
         raise ValueError("field length does not match the grid")
+    if max(grid.dims) > _NIFTI_MAX_DIM:
+        raise ValueError(f"{path}: NIfTI-1 stores at most {_NIFTI_MAX_DIM} cells per axis, "
+                         f"got dims {grid.dims}")
     hdr = np.zeros((), dtype=_HEADER_DTYPE)
     hdr["sizeof_hdr"] = _HEADER_SIZE
     dim = np.ones(8, dtype=np.int16)
@@ -294,16 +296,6 @@ def write_streamlines_jsonl(path, streamlines: list[Streamline]) -> None:
             )
         )
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_streamlines_jsonl(path) -> list[Streamline]:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        out.append(Streamline(rec["seed"], rec["points"], rec["step_size"]))
-    return out
 
 
 def write_clusters_json(path, cluster_set) -> None:

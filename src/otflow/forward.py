@@ -27,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError
 from .grid import CellGrid, ScalarField, VectorField
 from .operators import advection_interp_matrix, advection_weight_gradients
 
@@ -36,7 +35,6 @@ __all__ = [
     "DensitySeries",
     "VelocitySeries",
     "ImplicitDiffusion",
-    "simulate",
 ]
 
 @dataclass(frozen=True)
@@ -93,10 +91,6 @@ class VelocitySeries:
         if vals.shape != expect:
             raise ValueError(f"expected values of shape {expect}, got {vals.shape}")
         self.values = vals
-
-    @classmethod
-    def zeros(cls, grid: CellGrid, time_grid: TimeGrid) -> "VelocitySeries":
-        return cls(grid, time_grid, np.zeros((time_grid.steps, grid.ndim, grid.cell_count)))
 
     def frame(self, n: int) -> VectorField:
         return VectorField(self.grid, self.values[n])
@@ -209,7 +203,7 @@ class Sweep:
     `advection_weight_gradients`), so `jvp` and its transpose `vjp` make d
     sparse products per sweep, not d per interval; each block row keeps its
     order of summation, so the results are those of the interval alone. The
-    blocks are built on first use, so a sweep that only advances (`simulate`,
+    blocks are built on first use, so a sweep that only advances (`objective`,
     a rejected line-search trial) never builds them, and G_k^T are cached CSR
     views of the same arrays.
 
@@ -268,17 +262,6 @@ class Sweep:
         for k, G_T in enumerate(self.G_T):
             out[:, k] += rho * (G_T @ y.ravel()).reshape(rho.shape)
         return out
-
-
-def simulate(v: VelocitySeries, rho0: ScalarField, sigma: float) -> DensitySeries:
-    """Advance rho0 through all intervals of the velocity series."""
-    if rho0.grid != v.grid:
-        raise GridMismatchError("initial density and velocity grids differ")
-    if np.any(rho0.values < 0):
-        raise ValueError("initial density must be nonnegative")
-    diffusion = ImplicitDiffusion(v.grid, sigma, v.time_grid.dt)
-    frames, _ = forward_frames(v.values, rho0.values, diffusion)
-    return DensitySeries(v.grid, v.time_grid, frames)
 
 
 def forward_frames(

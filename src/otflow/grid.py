@@ -147,15 +147,6 @@ class VectorField:
             raise ValueError("vector components must be finite")
         self.components = comp
 
-    @classmethod
-    def zeros(cls, grid: CellGrid) -> "VectorField":
-        return cls(grid, np.zeros((grid.ndim, grid.cell_count)))
-
-    @classmethod
-    def constant(cls, grid: CellGrid, vector) -> "VectorField":
-        vec = np.asarray(vector, dtype=float)
-        return cls(grid, np.repeat(vec[:, None], grid.cell_count, axis=1))
-
 
 def _stencil(grid: CellGrid, coords: np.ndarray):
     """Multilinear cell-center stencil at index coordinates inside the closed domain.

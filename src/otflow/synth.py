@@ -21,12 +21,13 @@ __all__ = [
     "Blob",
     "VelocityModel",
     "SynthSpec",
-    "gaussian_blob",
-    "initial_density",
     "true_density",
     "true_velocity_series",
     "add_noise",
 ]
+
+# the most cells per axis a volume file holds: NIfTI-1 stores each dim as int16
+_NIFTI_MAX_DIM = 32767
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,17 @@ class SynthSpec:
             raise ConfigError("'noise_std' must be nonnegative", "noise_std")
         if self.rng_seed < 0:
             raise ConfigError("'rng_seed' must be nonnegative", "rng_seed")
+        # volume i is noised under key rng_seed + i, and Philox keys are uint64
+        if self.rng_seed + len(self.observe_times) - 1 >= 2**64:
+            raise ConfigError("'rng_seed' plus the number of 'observe_times' less one "
+                              "must stay below 2**64", "rng_seed")
         if not self.blobs:
             raise ConfigError("need at least one blob", "blobs")
         if not 1 <= len(self.dims) <= 3 or min(self.dims) < 1:
             raise ConfigError("'dims' needs 1 to 3 positive cell counts", "dims")
+        if max(self.dims) > _NIFTI_MAX_DIM:
+            raise ConfigError(f"'dims' entries must be at most {_NIFTI_MAX_DIM}, "
+                              "the largest a NIfTI-1 header stores", "dims")
         if not all(0 < h < math.inf for h in self.spacing):
             raise ConfigError("'spacing' entries must be positive and finite", "spacing")
         vectors = [("spacing", self.spacing), ("velocity.value", self.velocity.value),
@@ -133,6 +141,10 @@ class SynthSpec:
         if self.velocity.kind != "constant" and len(self.dims) < 2:
             raise ConfigError(f"'velocity.kind' {self.velocity.kind!r} needs two axes",
                               "velocity.kind")
+        if self.velocity.kind != "constant" and self.sigma_true != 0.0:
+            raise ConfigError(f"'sigma_true' must be 0 for 'velocity.kind' "
+                              f"{self.velocity.kind!r}: it has no closed form with "
+                              "diffusion", "sigma_true")
         grid = CellGrid(self.dims, self.spacing)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "dims", grid.dims)
@@ -164,26 +176,13 @@ def _rescaled(grid: CellGrid, raw: np.ndarray, mass: float) -> ScalarField:
     return ScalarField(grid, raw * (mass / total))
 
 
-def gaussian_blob(grid: CellGrid, center, width: float, mass: float) -> ScalarField:
-    """Isotropic Gaussian sampled at cell centers, rescaled so the sum is `mass`."""
-    blob = Blob(tuple(center), width, mass)
-    raw = _mixture_values(grid, grid.cell_centers(), (blob,))
-    return _rescaled(grid, raw, mass)
-
-
-def initial_density(spec: SynthSpec) -> ScalarField:
-    grid = spec.grid
-    raw = _mixture_values(grid, grid.cell_centers(), spec.blobs)
-    return _rescaled(grid, raw, spec.total_mass())
-
-
 def true_density(spec: SynthSpec, t: float) -> ScalarField:
     """Exact density at time t for any supported velocity model.
 
     Under a constant velocity each blob's mean drifts with the velocity and
     its variance grows by 2 * sigma_true^2 * t. Rotation and shear are
     divergence free, so the density is the initial mixture pulled back along
-    the inverse flow map (diffusion must be zero for these two models). The
+    the inverse flow map (`SynthSpec` admits them only without diffusion). The
     discrete sum is renormalized to the total mass.
     """
     grid = spec.grid
@@ -194,8 +193,6 @@ def true_density(spec: SynthSpec, t: float) -> ScalarField:
         )
         widths = [math.sqrt(b.width**2 + 2.0 * spec.sigma_true**2 * t) for b in spec.blobs]
         raw = _mixture_values(grid, grid.cell_centers(), moved, widths)
-    elif spec.sigma_true != 0.0:
-        raise ValueError(f"{spec.velocity.kind} model has no closed form with diffusion")
     else:
         pts = grid.cell_centers().copy()
         c = np.asarray(spec.velocity.center)

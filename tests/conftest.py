@@ -4,18 +4,19 @@ import pytest
 from otflow.forward import ImplicitDiffusion, TimeGrid, VelocitySeries, forward_frames
 from otflow.grid import CellGrid, ScalarField, VectorField
 from otflow.solver import ObservationEntry, ObservationSet, SolverConfig
-from otflow.synth import (
-    Blob,
-    SynthSpec,
-    VelocityModel,
-    gaussian_blob,
-    initial_density,
-    true_density,
-)
+from otflow.synth import Blob, SynthSpec, VelocityModel, true_density
 
 
 def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
+def gaussian_blob(grid: CellGrid, center, width: float, mass: float) -> ScalarField:
+    """Isotropic Gaussian sampled at cell centers, rescaled so the sum is `mass`:
+    the density at t = 0 of a one-blob spec at rest."""
+    spec = SynthSpec(dims=grid.dims, spacing=grid.spacing, blobs=(Blob(center, width, mass),),
+                     velocity=VelocityModel("constant", value=(0.0,) * grid.ndim))
+    return true_density(spec, 0.0)
 
 
 def one_step(v: VectorField, rho: np.ndarray, diffusion: ImplicitDiffusion) -> np.ndarray:
@@ -96,7 +97,7 @@ def translating_pair(n: int = 32, shift_cells: int = 3, width: float = 0.125):
         blobs=(Blob((0.42, 0.5), width, 1.0),),
         velocity=VelocityModel("constant", value=(shift_cells / n, 0.0)),
     )
-    return spec, initial_density(spec), true_density(spec, 1.0)
+    return spec, true_density(spec, 0.0), true_density(spec, 1.0)
 
 
 @pytest.fixture

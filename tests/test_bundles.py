@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from otflow.bundles import (
     ResampledTrack,
+    _mean_pointwise,
     cluster_label_volume,
-    mdf_distance,
     quickbundles,
     resample_track,
     significant_clusters,
@@ -14,6 +14,11 @@ from otflow.grid import CellGrid
 from otflow.streamlines import Streamline
 
 from conftest import philox
+
+
+def mdf_distance(a: ResampledTrack, b: ResampledTrack) -> float:
+    """The MDF distance as `quickbundles` takes it: the lesser pointwise mean."""
+    return min(_mean_pointwise(a.points, b.points))
 
 
 def planted_bundles(n_per_bundle=20, with_outliers=False, seed=5):
@@ -95,8 +100,9 @@ class TestMDF:
     def test_point_count_mismatch(self):
         a = ResampledTrack(np.zeros((12, 2)))
         b = ResampledTrack(np.zeros((10, 2)))
-        with pytest.raises(ValueError):
-            mdf_distance(a, b)
+        # tracks of unequal length are refused where they are clustered
+        with pytest.raises(ValueError, match="same point count"):
+            quickbundles([a, b], 1.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))

@@ -5,10 +5,12 @@ import pytest
 
 from otflow.forward import TimeGrid, VelocitySeries
 from otflow.grid import CellGrid, ScalarField
-from otflow.synth import add_noise, gaussian_blob
+from otflow.synth import add_noise
 from otflow.cli import _build_parser, main
-from otflow.dataio import read_streamlines_jsonl, read_volume, write_velocity_series, write_volume
+from otflow.dataio import read_volume, write_velocity_series, write_volume
 from otflow.errors import ConfigError
+
+from conftest import gaussian_blob
 
 
 def run(*argv):
@@ -184,10 +186,10 @@ class TestFpaCommand:
         assert run("solve", "--config", str(cfg)) == 0
         assert run("fpa", "--config", str(cfg)) == 0
         out = tmp_path / "out"
-        lines = read_streamlines_jsonl(out / "streamlines.jsonl")
-        assert lines and all(len(sl.points) == 1 for sl in lines)
+        lines = [json.loads(line) for line in (out / "streamlines.jsonl").read_text().splitlines()]
+        assert lines and all(len(sl["points"]) == 1 for sl in lines)
         _, pathways = read_volume(out / "pathways.nii")
-        seeds = np.array([sl.seed for sl in lines])
+        seeds = np.array([sl["seed"] for sl in lines])
         occupancy = np.zeros(grid.cell_count)
         occupancy[grid.cells_of_points(seeds)] = 1.0
         counts = pathways.values
@@ -357,6 +359,38 @@ class TestSynthCommand:
         assert run("synth", str(path), "--out", str(out), *dry_run) == 1
         assert "error: unknown key 'velocity.rat'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("change, message", [
+        ({"velocity": {"kind": "rotation", "center": [0.5, 0.5], "rate": 0.6},
+          "sigma_true": 0.01}, "'sigma_true' must be 0 for 'velocity.kind' 'rotation'"),
+        ({"velocity": {"kind": "shear", "center": [0.5, 0.5], "rate": 0.6},
+          "sigma_true": 0.01}, "'sigma_true' must be 0 for 'velocity.kind' 'shear'"),
+        ({"dims": [40000], "spacing": [1.0],
+          "blobs": [{"center": [2.0], "width": 1.0, "mass": 1.0}],
+          "velocity": {"kind": "constant", "value": [0.0]}},
+         "'dims' entries must be at most 32767"),
+        ({"rng_seed": 2**64 - 1}, "'rng_seed' plus the number of 'observe_times'"),
+    ], ids=["rotation-with-diffusion", "shear-with-diffusion", "dims-past-nifti",
+            "rng-seed-past-philox"])
+    def test_spec_it_cannot_write_fails_before_writing(self, tmp_path, capsys, change,
+                                                       message, dry_run):
+        doc = dict(json.loads(self._spec(tmp_path).read_text()), **change)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "synth"
+        assert run("synth", str(path), "--out", str(out), *dry_run) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_last_philox_key_is_written(self, tmp_path):
+        doc = dict(json.loads(self._spec(tmp_path).read_text()), rng_seed=2**64 - 2)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "synth"
+        assert run("synth", str(path), "--out", str(out)) == 0
+        manifest = json.loads((out / "truth_manifest.json").read_text())
+        assert [v["noise_seed"] for v in manifest["volumes"]] == [2**64 - 2, 2**64 - 1]
 
     def test_dims_not_a_list_names_key_under_dry_run(self, tmp_path, capsys):
         doc = dict(json.loads(self._spec(tmp_path).read_text()), dims=5)

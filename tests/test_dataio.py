@@ -22,7 +22,6 @@ from otflow.dataio import (
     RunConfig,
     check_baseline_observations,
     read_config,
-    read_streamlines_jsonl,
     read_synth_spec,
     read_velocity_series,
     read_volume,
@@ -86,6 +85,15 @@ class TestVolumeRoundTrip:
         got_grid, got = read_volume(path)
         assert got_grid == grid
         assert np.array_equal(got.values, field.values)
+
+    def test_dims_past_int16_refused(self, tmp_path):
+        # the header stores each dim as int16, so 32767 cells is the most an axis holds
+        path = tmp_path / "vol.nii"
+        write_volume(path, CellGrid([32767], [1.0]), np.zeros(32767))
+        assert read_volume(path)[0].dims == (32767,)
+        with pytest.raises(ValueError, match="at most 32767 cells per axis"):
+            write_volume(tmp_path / "big.nii", CellGrid([4, 40000], [1.0, 1.0]), np.zeros(160000))
+        assert not (tmp_path / "big.nii").exists()
 
     def test_gzip_bytes_deterministic(self, tmp_path):
         grid, field = make_volume(10, [4, 4], [0.25, 0.25])
@@ -281,11 +289,11 @@ class TestStreamlineAndClusterFiles:
         ]
         path = tmp_path / "streamlines.jsonl"
         write_streamlines_jsonl(path, lines)
-        got = read_streamlines_jsonl(path)
+        got = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(got) == len(lines)
         for a, b in zip(got, lines):
-            assert np.array_equal(a.points, b.points)
-            assert a.step_size == b.step_size
+            assert np.array_equal(a["points"], b.points)
+            assert a["step_size"] == b.step_size
 
     def test_clusters_json_shape(self, tmp_path):
         xs = np.linspace(0, 1, 12)
@@ -504,6 +512,13 @@ class TestSynthSpecFile:
              "velocity.rat"),
             ({"blobs": [{"center": [0.4, 0.5], "widht": 0.1, "mass": 2.0}]},
              "blobs[0].widht"),
+            ({"dims": [16, 40000]}, "dims"),
+            ({"rng_seed": 2**64 - 1}, "rng_seed"),
+            ({"rng_seed": 2**64 - 3, "observe_times": [0.0, 0.5, 1.0, 1.5]}, "rng_seed"),
+            ({"velocity": {"kind": "rotation", "center": [0.5, 0.5], "rate": 1.0},
+              "sigma_true": 0.01}, "sigma_true"),
+            ({"velocity": {"kind": "shear", "center": [0.5, 0.5], "rate": 1.0},
+              "sigma_true": 0.01}, "sigma_true"),
         ],
         ids=["blobs-not-a-list", "spacing-length", "blob-center-length",
              "velocity-value-length", "velocity-center-length", "rotation-in-1d",
@@ -511,7 +526,9 @@ class TestSynthSpecFile:
              "sigma-true-not-numeric", "noise-std-not-numeric", "rng-seed-not-int",
              "rng-seed-negative", "observe-times-not-a-list", "velocity-rate-not-numeric",
              "velocity-kind-unknown", "blob-width-bool", "blob-mass-string",
-             "velocity-key-typo", "blob-key-typo"],
+             "velocity-key-typo", "blob-key-typo", "dims-past-nifti-int16",
+             "rng-seed-past-philox-keys", "rng-seed-plus-times-past-philox-keys",
+             "rotation-with-diffusion", "shear-with-diffusion"],
     )
     def test_malformed_spec_names_key(self, tmp_path, change, key):
         path = tmp_path / "spec.json"

@@ -96,7 +96,7 @@ class TestSampling:
 
     def test_constant_field_everywhere(self):
         g = CellGrid([5, 5], [0.2, 0.2])
-        v = VectorField.constant(g, [0.7, -0.3])
+        v = VectorField(g, np.repeat([[0.7], [-0.3]], g.cell_count, axis=1))
         rng = philox(11)
         for _ in range(20):
             p = rng.uniform(0.0, 1.0, size=2)
@@ -132,7 +132,7 @@ class TestSampling:
     def test_rejects_outside_domain(self):
         # tracing is the one caller that takes points from outside the grid
         g = CellGrid([4], [1.0])
-        v = VelocitySeries.zeros(g, TimeGrid.unit_horizon(1))
+        v = VelocitySeries(g, TimeGrid.unit_horizon(1), np.zeros((1, 1, 4)))
         with pytest.raises(OutsideDomainError):
             trace_streamlines(v, [[-0.5]], 0.5, 10)
         with pytest.raises(OutsideDomainError):

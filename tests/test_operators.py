@@ -54,12 +54,12 @@ class TestDiffusionOperator:
 class TestDepositMatrix:
     def test_zero_velocity_is_identity(self):
         g = CellGrid([4, 3], [1.0, 0.5])
-        S = advection_interp_matrix(VectorField.zeros(g), 0.7)
+        S = advection_interp_matrix(VectorField(g, np.zeros((2, g.cell_count))), 0.7)
         np.testing.assert_allclose(S.toarray(), np.eye(g.cell_count))
 
     def test_1d_half_cell_split(self):
         g = CellGrid([4], [1.0])
-        S = advection_interp_matrix(VectorField.constant(g, [0.5]), 1.0)
+        S = advection_interp_matrix(VectorField(g, np.full((1, 4), 0.5)), 1.0)
         np.testing.assert_allclose(S @ np.array([0.0, 1.0, 0.0, 0.0]), [0, 0.5, 0.5, 0])
 
     @settings(max_examples=20, deadline=None)
@@ -77,7 +77,7 @@ class TestDepositMatrix:
     def test_outflow_clamps_to_boundary_cell(self):
         # a particle pushed past the wall deposits everything in the last cell
         g = CellGrid([4], [1.0])
-        S = advection_interp_matrix(VectorField.constant(g, [10.0]), 1.0)
+        S = advection_interp_matrix(VectorField(g, np.full((1, 4), 10.0)), 1.0)
         out = S @ np.array([0.25, 0.25, 0.25, 0.25])
         np.testing.assert_allclose(out, [0, 0, 0, 1.0])
 
@@ -174,8 +174,8 @@ class TestWeightGradients:
     def test_zero_direction_gives_zero(self):
         g = CellGrid([5], [1.0])
         rho = ScalarField(g, np.ones(5))
-        v = VectorField.constant(g, [0.3])
-        out = _one_step_jvp(v, 0.5, rho.values, VectorField.zeros(g).components)
+        v = VectorField(g, np.full((1, 5), 0.3))
+        out = _one_step_jvp(v, 0.5, rho.values, np.zeros((1, 5)))
         np.testing.assert_allclose(out, 0.0)
 
     def test_mid_cell_weights_are_inverse_spacing(self):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import re
@@ -19,6 +20,44 @@ MODULES = sorted(
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+# public names that no code in src/ calls, each kept for a reason
+UNCALLED_PUBLIC = {
+    "objective": "the public objective, the functional that acceptance check C03 differentiates",
+    "gradient": "the public adjoint gradient, checked by C03 against finite differences",
+    "true_velocity_series": "the velocity truth, which scoring the recovered flow will read",
+}
+
+
+def _module_definition(tree: ast.Module, name: str) -> ast.AST | None:
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return node
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return node
+    return None
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # a name in __all__ that only tests use is test code living in src/
+    trees = {p: ast.parse(p.read_text()) for p in Path(otflow.__file__).parent.glob("*.py")}
+    uncalled = set()
+    for path, tree in trees.items():
+        module = importlib.import_module(f"otflow.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            definition = _module_definition(tree, name)
+            skip = {id(n) for n in ast.walk(definition)} if definition else set()
+            if not any(
+                id(node) not in skip
+                and name in (getattr(node, "id", None), getattr(node, "attr", None))
+                for other in trees.values()
+                for node in ast.walk(other)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            ):
+                uncalled.add(name)
+    assert uncalled == set(UNCALLED_PUBLIC)
 
 
 def test_readme_layout_lists_every_module():

@@ -16,7 +16,6 @@ from otflow.forward import (
     VelocitySeries,
     forward_frames,
     linearized_sweep,
-    simulate,
 )
 from otflow.grid import CellGrid, ScalarField
 from otflow.solver import (
@@ -43,8 +42,6 @@ from otflow.synth import (
     SynthSpec,
     VelocityModel,
     add_noise,
-    gaussian_blob,
-    initial_density,
     true_density,
     true_velocity_series,
 )
@@ -55,7 +52,7 @@ from oracles import (
     interval_linearized_sweep,
     unpreconditioned_gn_step,
 )
-from conftest import gradient_check_instance, philox, translating_pair
+from conftest import gaussian_blob, gradient_check_instance, philox, translating_pair
 
 
 def _pair_obs(rho0, target, steps):
@@ -97,7 +94,7 @@ class TestObjective:
         g = CellGrid([6, 6], [1 / 6, 1 / 6])
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.15, 1.0)
         cfg = SolverConfig(sigma=0.0, alpha=1.0, time_steps=2)
-        v = VelocitySeries.zeros(g, TimeGrid.unit_horizon(2))
+        v = VelocitySeries(g, TimeGrid.unit_horizon(2), np.zeros((2, g.ndim, g.cell_count)))
         val = objective(v, _pair_obs(rho0, rho0, 2), cfg)
         assert val.total == 0.0
 
@@ -107,7 +104,7 @@ class TestObjective:
         c, alpha = 0.2, 3.0
         shifted = ScalarField(g, rho0.values + c)
         cfg = SolverConfig(sigma=0.0, alpha=alpha, time_steps=2)
-        v = VelocitySeries.zeros(g, TimeGrid.unit_horizon(2))
+        v = VelocitySeries(g, TimeGrid.unit_horizon(2), np.zeros((2, g.ndim, g.cell_count)))
         val = objective(v, _pair_obs(rho0, shifted, 2), cfg)
         assert val.energy == 0.0
         assert val.misfit == pytest.approx(alpha * g.cell_count * c**2, rel=1e-12)
@@ -131,7 +128,7 @@ class TestGradient:
         g = CellGrid([6, 6], [1 / 6, 1 / 6])
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.15, 1.0)
         cfg = SolverConfig(sigma=0.0, alpha=1.0, time_steps=2)
-        v = VelocitySeries.zeros(g, TimeGrid.unit_horizon(2))
+        v = VelocitySeries(g, TimeGrid.unit_horizon(2), np.zeros((2, g.ndim, g.cell_count)))
         grad = gradient(v, _pair_obs(rho0, rho0, 2), cfg)
         np.testing.assert_allclose(grad.values, 0.0, atol=1e-15)
 
@@ -234,7 +231,6 @@ class TestBatchedSweeps:
             lambda *args: builds.append(args) or build(*args),
         )
         v = 0.2 * philox(13).standard_normal((4, grid.ndim, grid.cell_count))
-        simulate(VelocitySeries(grid, tg, v), rho0, config.sigma)
         frames, sweep = forward_frames(v, rho0.values, ImplicitDiffusion(grid, config.sigma, tg.dt))
         assert builds == []
         linearized_sweep(sweep, frames, v)
@@ -471,7 +467,7 @@ def _rotating_pair(n=48):
         blobs=(Blob((0.3, 0.5), 0.08, 1.0), Blob((0.7, 0.5), 0.08, 1.0)),
         velocity=VelocityModel("rotation", center=(0.5, 0.5), rate=0.6),
     )
-    return spec, initial_density(spec), true_density(spec, 1.0)
+    return spec, true_density(spec, 0.0), true_density(spec, 1.0)
 
 
 class TestLinearisedStart:

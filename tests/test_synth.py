@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from otflow.errors import ConfigError
 from otflow.forward import TimeGrid, VelocitySeries
 from otflow.grid import CellGrid, ScalarField
 from otflow.synth import (
@@ -8,14 +9,12 @@ from otflow.synth import (
     SynthSpec,
     VelocityModel,
     add_noise,
-    gaussian_blob,
-    initial_density,
     true_density,
     true_velocity_series,
 )
 
 from oracles import finite_difference_gradient
-from conftest import philox
+from conftest import gaussian_blob, philox
 
 
 def _constant_spec(sigma=0.0, v=(0.2, 0.1), n=64, width=0.1):
@@ -56,14 +55,17 @@ class TestGaussianBlob:
 class TestAnalyticEvolution:
     def test_t0_equals_initial(self):
         spec = _constant_spec(sigma=0.02)
+        # the initial blob, sampled at cell centers and rescaled to its mass
+        r2 = ((spec.grid.cell_centers() - (0.45, 0.5)) ** 2).sum(axis=1)
+        initial = np.exp(-0.5 * r2 / 0.1**2)
         np.testing.assert_allclose(
-            true_density(spec, 0.0).values, initial_density(spec).values
+            true_density(spec, 0.0).values, initial * (2.0 / initial.sum())
         )
 
     def test_static_when_no_motion_no_diffusion(self):
         spec = _constant_spec(sigma=0.0, v=(0.0, 0.0))
         np.testing.assert_allclose(
-            true_density(spec, 0.7).values, initial_density(spec).values
+            true_density(spec, 0.7).values, true_density(spec, 0.0).values
         )
 
     def test_second_moment_grows_by_2_sigma2_t(self):
@@ -77,7 +79,7 @@ class TestAnalyticEvolution:
             mean = (w[:, None] * centers).sum(axis=0)
             return (w[:, None] * (centers - mean) ** 2).sum(axis=0)
 
-        m0 = second_moment(initial_density(spec))
+        m0 = second_moment(true_density(spec, 0.0))
         mt = second_moment(true_density(spec, t))
         growth = mt - m0
         np.testing.assert_allclose(growth, 2 * sigma**2 * t, rtol=0.02)
@@ -107,14 +109,15 @@ class TestTrueDensity:
         assert out.total_mass() == pytest.approx(1.5, rel=1e-12)
 
     def test_rotation_with_diffusion_rejected(self):
-        spec = SynthSpec(
-            dims=(8, 8), spacing=(0.125, 0.125),
-            blobs=(Blob((0.5, 0.5), 0.1, 1.0),),
-            velocity=VelocityModel("rotation", center=(0.5, 0.5), rate=1.0),
-            sigma_true=0.1,
-        )
-        with pytest.raises(ValueError):
-            true_density(spec, 0.5)
+        # no closed form with diffusion, so the spec itself is refused
+        with pytest.raises(ConfigError, match="no closed form with diffusion") as exc:
+            SynthSpec(
+                dims=(8, 8), spacing=(0.125, 0.125),
+                blobs=(Blob((0.5, 0.5), 0.1, 1.0),),
+                velocity=VelocityModel("rotation", center=(0.5, 0.5), rate=1.0),
+                sigma_true=0.1,
+            )
+        assert exc.value.key == "sigma_true"
 
     def test_velocity_series_is_steady_sampling(self):
         spec = _constant_spec(v=(0.3, -0.2))
@@ -177,12 +180,12 @@ class TestFiniteDifferenceGradient:
     def test_constant_functional_zero(self):
         g = CellGrid([4], [0.25])
         tg = TimeGrid.unit_horizon(1)
-        v = VelocitySeries.zeros(g, tg)
+        v = VelocitySeries(g, tg, np.zeros((1, 1, 4)))
         dv = VelocitySeries(g, tg, np.ones((1, 1, 4)))
         assert finite_difference_gradient(lambda w: 3.5, v, dv, 1e-5) == 0.0
 
     def test_eps_validated(self):
         g = CellGrid([4], [0.25])
-        v = VelocitySeries.zeros(g, TimeGrid.unit_horizon(1))
+        v = VelocitySeries(g, TimeGrid.unit_horizon(1), np.zeros((1, 1, 4)))
         with pytest.raises(ValueError):
             finite_difference_gradient(lambda w: 0.0, v, v, 0.0)
