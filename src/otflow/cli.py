@@ -25,7 +25,6 @@ from .bundles import cluster_label_volume, quickbundles, resample_track, signifi
 from .dataio import (
     RunConfig,
     _json_dump,
-    check_baseline_observations,
     read_config,
     read_synth_spec,
     read_velocity_series,
@@ -40,6 +39,7 @@ from .forward import DensitySeries, TimeGrid
 from .solver import (
     ObservationEntry,
     ObservationSet,
+    check_schedule,
     registration_errors,
     rmse_between_series,
     solve,
@@ -81,10 +81,7 @@ def cmd_solve(args) -> int:
                 return _fail(f"observation volume not found: {ref.path}")
         return 0
     obs = _load_observations(cfg)
-    if cfg.baseline_mode:
-        result = solve_baseline(obs.initial, obs.entries[-1].observed, cfg)
-    else:
-        result = solve(obs, cfg)
+    result = (solve_baseline if cfg.baseline_mode else solve)(obs, cfg)
 
     out.mkdir(parents=True, exist_ok=True)
     for n in range(cfg.time_steps + 1):
@@ -216,7 +213,7 @@ def cmd_compare(args) -> int:
         if not args.config:
             return _fail("--baseline needs --config to locate the observations")
         cfg = read_config(args.config)
-        check_baseline_observations(cfg)
+        check_schedule(cfg.observations, cfg.time_steps, baseline=True)
     if args.dry_run:
         for p in (result_path, target_path):
             if not p.exists():
@@ -239,8 +236,7 @@ def cmd_compare(args) -> int:
     rows.append(("result", "inf_norm", "", inf_norm))
 
     if args.baseline:
-        obs = _load_observations(cfg)
-        baseline = solve_baseline(obs.initial, obs.entries[-1].observed, cfg)
+        baseline = solve_baseline(_load_observations(cfg), cfg)
         final = baseline.densities.frame(baseline.densities.time_grid.steps)
         b_mse, b_inf = registration_errors(final, final_b)
         rows.append(("baseline", "mse", "", b_mse))

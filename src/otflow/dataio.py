@@ -15,7 +15,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +28,11 @@ from .errors import (
     TruncatedDataError,
     UnsupportedDatatypeError,
     VolumeFormatError,
+    require,
 )
 from .forward import TimeGrid, VelocitySeries
 from .grid import CellGrid, ScalarField
-from .solver import SolverConfig
+from .solver import SolverConfig, check_schedule
 from .streamlines import Streamline
 from .synth import _NIFTI_MAX_DIM, Blob, SynthSpec, VelocityModel
 
@@ -44,7 +45,6 @@ __all__ = [
     "write_clusters_json",
     "ObservationRef",
     "RunConfig",
-    "check_baseline_observations",
     "read_config",
     "read_synth_spec",
 ]
@@ -176,12 +176,10 @@ def read_volume(path) -> tuple[CellGrid, ScalarField]:
     ndim = int(hdr["dim"][0])
     if not 1 <= ndim <= 3:
         raise HeaderError(f"{path}: unsupported dimensionality {ndim}")
-    dims = tuple(int(x) for x in hdr["dim"][1 : 1 + ndim])
-    if any(n < 1 for n in dims):
-        raise HeaderError(f"{path}: nonpositive dimension in {dims}")
-    spacing = tuple(float(x) for x in hdr["pixdim"][1 : 1 + ndim])
-    if any(not np.isfinite(h) or h <= 0 for h in spacing):
-        raise HeaderError(f"{path}: nonpositive voxel spacing in {spacing}")
+    try:
+        grid = CellGrid(hdr["dim"][1 : 1 + ndim], hdr["pixdim"][1 : 1 + ndim])
+    except ConfigError as exc:
+        raise HeaderError(f"{path}: {exc}") from exc
     code = int(hdr["datatype"])
     if code == _DT_FLOAT32:
         dtype = np.dtype("<f4")
@@ -201,7 +199,6 @@ def read_volume(path) -> tuple[CellGrid, ScalarField]:
     if not np.isfinite(offset) or round(offset) < _HEADER_SIZE:
         raise HeaderError(f"{path}: data offset {offset} does not lie past the header")
     offset = round(offset)
-    grid = CellGrid(dims, spacing)
     need = grid.cell_count * dtype.itemsize
     data = raw[offset : offset + need]
     if len(data) < need:
@@ -215,7 +212,7 @@ def read_volume(path) -> tuple[CellGrid, ScalarField]:
     finite = np.isfinite(values)
     if not finite.all():
         first = int(np.argmin(finite))
-        voxel = tuple(int(i) for i in np.unravel_index(first, dims, order="F"))
+        voxel = tuple(int(i) for i in np.unravel_index(first, grid.dims, order="F"))
         raise VolumeFormatError(f"{path}: voxel {voxel} holds {values[first]}, not a finite value")
     return grid, ScalarField(grid, values)
 
@@ -253,21 +250,12 @@ def read_velocity_series(path_prefix) -> VelocitySeries:
     try:
         m = _read_object(manifest, "", {"time_steps": int, "dt": _NUMBER, "components": int,
                                         "dims": [int], "spacing": [_NUMBER]}, {})
-        steps, dt, dims, spacing = m["time_steps"], m["dt"], m["dims"], m["spacing"]
-        for key, ok, requirement in (
-            ("time_steps", steps >= 1, "at least 1"),
-            ("dt", dt > 0, "positive"),
-            ("dims", 1 <= len(dims) <= 3 and min(dims) > 0, "1 to 3 positive cell counts"),
-            ("components", m["components"] == len(dims), "the number of axes in 'dims'"),
-            ("spacing", len(spacing) == len(dims) and min(spacing, default=0) > 0,
-             "positive, one per axis"),
-        ):
-            if not ok:
-                raise ConfigError(f"key {key!r} must be {requirement}, got {manifest[key]!r}", key)
+        grid = CellGrid(m["dims"], m["spacing"])
+        time_grid = TimeGrid(m["time_steps"], float(m["dt"]))
+        require(m["components"] == grid.ndim, "components", "the number of axes in 'dims'",
+                m["components"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}", exc.key) from exc
-    grid = CellGrid(dims, spacing)
-    time_grid = TimeGrid(steps, float(dt))
     values = np.empty((time_grid.steps, grid.ndim, grid.cell_count))
     for n in range(time_grid.steps):
         for k in range(grid.ndim):
@@ -348,20 +336,8 @@ class RunConfig(SolverConfig):
             ("min_cluster_size", self.min_cluster_size >= 1, "at least 1"),
         )
 
-    def _out_of_range(self, key: str, requirement: str):
-        raise ConfigError(f"key {key!r} must be {requirement}, got {getattr(self, key)!r}", key)
-
     def to_json(self) -> str:
-        doc = {
-            "output_dir": self.output_dir,
-            "observations": [
-                {"time_index": o.time_index, "path": o.path, "weight": o.weight}
-                for o in self.observations
-            ],
-        }
-        for key in _SCALAR_KEYS:
-            doc[key] = getattr(self, key)
-        return _json_dump(doc)
+        return _json_dump(asdict(self))
 
 
 _NUMBER = (int, float)
@@ -453,48 +429,14 @@ def read_config(path) -> RunConfig:
     """
     doc = _read_object(_load_json_object(path, "run configuration"), "",
                        {"output_dir": str, "observations": list}, _SCALAR_KEYS)
-    if not doc["observations"]:
-        raise ConfigError("'observations' must be a nonempty list", "observations")
     refs = []
     for i, entry in enumerate(doc.pop("observations")):
-        where = f"observations[{i}]"
-        e = _read_object(entry, where, {"time_index": int, "path": str},
+        e = _read_object(entry, f"observations[{i}]", {"time_index": int, "path": str},
                          {"weight": (_NUMBER, 1.0)})
-        ref = ObservationRef(e["time_index"], e["path"], float(e["weight"]))
-        if ref.time_index < 0:
-            raise ConfigError(f"{where}.time_index must be nonnegative", f"{where}.time_index")
-        if ref.weight <= 0:
-            raise ConfigError(f"{where}.weight must be positive", f"{where}.weight")
-        refs.append(ref)
-
-    indices = [r.time_index for r in refs]
-    if len(set(indices)) != len(indices):
-        raise ConfigError(f"duplicate observation time indices {indices}", "observations")
-    if 0 not in indices:
-        raise ConfigError("an observation at time_index 0 is required", "observations")
-    if max(indices) < 1:
-        raise ConfigError("need at least one observation after time_index 0", "observations")
+        refs.append(ObservationRef(e["time_index"], e["path"], float(e["weight"])))
     cfg = RunConfig(observations=tuple(sorted(refs, key=lambda r: r.time_index)), **doc)
-    if max(indices) > cfg.time_steps:
-        raise ConfigError(
-            f"observation time_index {max(indices)} exceeds time_steps={cfg.time_steps}",
-            "observations",
-        )
-    if cfg.baseline_mode:
-        check_baseline_observations(cfg)
+    check_schedule(refs, cfg.time_steps, cfg.baseline_mode)
     return cfg
-
-
-def check_baseline_observations(cfg: RunConfig) -> None:
-    """Refuse, keyed `observations`, a config that the fixed-endpoint baseline
-    (`baseline_mode` or `compare --baseline`) would misread: it fits the last
-    observation at T and has no per-observation weights, so it needs exactly
-    the observations at time_index 0 and `time_steps`, each of weight 1."""
-    refs = cfg.observations
-    if {r.time_index for r in refs} != {0, cfg.time_steps} or {r.weight for r in refs} != {1}:
-        raise ConfigError("the baseline (baseline_mode, compare --baseline) needs exactly the "
-                          f"observations at time_index 0 and time_steps={cfg.time_steps}, "
-                          "each of weight 1", "observations")
 
 
 def read_synth_spec(path) -> SynthSpec:

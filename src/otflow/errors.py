@@ -17,12 +17,20 @@ class EmptySeedsError(OTFlowError):
     """Seeding produced no points."""
 
 
-class ConfigError(OTFlowError):
-    """A run configuration is missing, malformed, or carries unknown keys."""
+class ConfigError(OTFlowError, ValueError):
+    """An input is missing, malformed, out of range, or carries unknown keys;
+    `key` names the key at fault. Also a `ValueError`, as a bad argument is."""
 
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
         self.key = key
+
+
+def require(holds: bool, key: str, requirement: str, value) -> None:
+    """Raise `ConfigError` keyed `key` unless `holds`, in the form
+    `key '<key>' must be <requirement>, got <value>`."""
+    if not holds:
+        raise ConfigError(f"key {key!r} must be {requirement}, got {value!r}", key)
 
 
 class VolumeFormatError(OTFlowError):

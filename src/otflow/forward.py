@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import require
 from .grid import CellGrid, ScalarField, VectorField
 from .operators import advection_interp_matrix, advection_weight_gradients
 
@@ -45,10 +46,8 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
-        if int(self.steps) < 1:
-            raise ValueError(f"need at least one time step, got {self.steps}")
-        if not self.dt > 0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
+        require(int(self.steps) >= 1, "time_steps", "at least 1", self.steps)
+        require(self.dt > 0, "dt", "positive", self.dt)
         object.__setattr__(self, "steps", int(self.steps))
         object.__setattr__(self, "dt", float(self.dt))
 
@@ -91,9 +90,6 @@ class VelocitySeries:
         if vals.shape != expect:
             raise ValueError(f"expected values of shape {expect}, got {vals.shape}")
         self.values = vals
-
-    def frame(self, n: int) -> VectorField:
-        return VectorField(self.grid, self.values[n])
 
 
 def _dct_basis(n: int) -> np.ndarray:

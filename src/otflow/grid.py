@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require
+
 __all__ = [
     "CellGrid",
     "ScalarField",
@@ -39,14 +41,10 @@ class CellGrid:
     def __post_init__(self):
         dims = tuple(int(n) for n in self.dims)
         spacing = tuple(float(h) for h in self.spacing)
-        if not 1 <= len(dims) <= 3:
-            raise ValueError(f"grid must have 1, 2 or 3 axes, got {len(dims)}")
-        if len(spacing) != len(dims):
-            raise ValueError("dims and spacing must have equal length")
-        if any(n < 1 for n in dims):
-            raise ValueError(f"cell counts must be positive, got {dims}")
-        if any(not np.isfinite(h) or h <= 0.0 for h in spacing):
-            raise ValueError(f"cell spacings must be positive, got {spacing}")
+        require(1 <= len(dims) <= 3 and min(dims) >= 1, "dims", "1 to 3 positive cell counts",
+                list(dims))
+        require(len(spacing) == len(dims) and all(0 < h < np.inf for h in spacing), "spacing",
+                "positive and finite, one per axis", list(spacing))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
 

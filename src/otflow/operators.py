@@ -39,8 +39,6 @@ def _deposit_stencil(v: VectorField, dt: float):
     by the spacing) keeps a zero displacement exactly on the cell center, so
     S(0) is exactly the identity.
     """
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
     grid = v.grid
     index = np.array(np.unravel_index(np.arange(grid.cell_count), grid.dims, order="F"))
     coords = index + (dt / np.asarray(grid.spacing))[:, None] * v.components

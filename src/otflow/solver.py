@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import ConfigError, GridMismatchError, require
 from .forward import (
     DensitySeries,
     ImplicitDiffusion,
@@ -45,6 +45,7 @@ from .grid import CellGrid, ScalarField
 __all__ = [
     "ObservationEntry",
     "ObservationSet",
+    "check_schedule",
     "SolverConfig",
     "IterationRecord",
     "SolveResult",
@@ -71,34 +72,62 @@ class ObservationEntry:
 
     def __post_init__(self):
         self.time_index = int(self.time_index)
-        if self.time_index < 0:
-            raise ValueError(f"time index must be nonnegative, got {self.time_index}")
         self.weight = float(self.weight)
-        if not 0 < self.weight < np.inf:
-            raise ValueError(f"fidelity weight must be positive and finite, got {self.weight}")
+        _check_entry(self, "observation")
+
+
+def _check_entry(entry, where: str) -> None:
+    if entry.time_index < 0:
+        raise ConfigError(f"{where}.time_index must be nonnegative, got {entry.time_index}",
+                          f"{where}.time_index")
+    if not 0 < entry.weight < np.inf:
+        raise ConfigError(f"{where}.weight must be positive and finite, got {entry.weight!r}",
+                          f"{where}.weight")
+
+
+def check_schedule(entries: Sequence, time_steps: int | None = None,
+                   baseline: bool = False) -> None:
+    """The one rule for an observation schedule: `entries` carry a
+    `time_index` and a `weight` (`ObservationEntry`, or a run configuration's
+    references), in the order given. Refuses, with a `ConfigError` keyed as
+    in the run configuration, a negative index, a weight that is not positive
+    and finite, a repeated index, no index 0, no later index, and an index
+    past `time_steps` when that is given. The fixed-endpoint baseline
+    (`baseline`) fits the last observation at T and has no weights, so it
+    needs exactly the indices 0 and `time_steps`, each of weight 1.
+    """
+    for i, entry in enumerate(entries):
+        _check_entry(entry, f"observations[{i}]")
+    indices = sorted(e.time_index for e in entries)
+    if len(set(indices)) != len(indices):
+        raise ConfigError(f"duplicate observation time indices {indices}", "observations")
+    if 0 not in indices:
+        raise ConfigError("an observation at time_index 0 is required", "observations")
+    if indices[-1] < 1:
+        raise ConfigError("need at least one observation after time_index 0", "observations")
+    if time_steps is not None and indices[-1] > time_steps:
+        raise ConfigError(f"observation time_index {indices[-1]} exceeds "
+                          f"time_steps={time_steps}", "observations")
+    if baseline and (set(indices) != {0, time_steps} or {e.weight for e in entries} != {1}):
+        raise ConfigError("the baseline (baseline_mode, compare --baseline) needs exactly the "
+                          f"observations at time_index 0 and time_steps={time_steps}, "
+                          "each of weight 1", "observations")
 
 
 @dataclass(eq=False)
 class ObservationSet:
-    """Observed densities anchoring the solve.
+    """Observed densities anchoring the solve, sorted by time index.
 
     The entry at time index 0 is the pinned initial condition; at least one
-    later entry must be present to give the solver something to fit.
+    later entry must be present to give the solver something to fit
+    (`check_schedule`).
     """
 
     entries: list[ObservationEntry]
 
     def __post_init__(self):
-        if not self.entries:
-            raise ValueError("observation set is empty")
+        check_schedule(self.entries)
         self.entries = sorted(self.entries, key=lambda e: e.time_index)
-        indices = [e.time_index for e in self.entries]
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"duplicate observation time indices: {indices}")
-        if indices[0] != 0:
-            raise ValueError("an observation at time index 0 is required")
-        if len(indices) < 2:
-            raise ValueError("need at least one observation after time index 0")
         grid = self.entries[0].observed.grid
         if any(e.observed.grid != grid for e in self.entries):
             raise GridMismatchError("observations live on different grids")
@@ -114,9 +143,6 @@ class ObservationSet:
     def interior(self) -> dict[int, ObservationEntry]:
         """Entries that contribute to the misfit (everything after index 0)."""
         return {e.time_index: e for e in self.entries if e.time_index > 0}
-
-    def max_index(self) -> int:
-        return self.entries[-1].time_index
 
 
 # Inner CG of the Gauss-Newton step: relative-residual target and iteration cap.
@@ -139,22 +165,19 @@ class SolverConfig:
     stop_tolerance: float = 1e-6
 
     def _ranges(self) -> tuple[tuple[str, bool, str], ...]:
-        """(key, holds, requirement) for every field with a bounded range."""
+        """(key, holds, requirement) for every field with a bounded range
+        except `time_steps`, whose rule is `TimeGrid`'s."""
         return (
             ("sigma", self.sigma >= 0, "nonnegative"),
             ("alpha", self.alpha > 0, "positive"),
-            ("time_steps", self.time_steps >= 1, "at least 1"),
             ("max_gn_iters", self.max_gn_iters >= 1, "at least 1"),
             ("stop_tolerance", self.stop_tolerance > 0, "positive"),
         )
 
-    def _out_of_range(self, key: str, requirement: str):
-        raise ValueError(f"{key} must be {requirement}, got {getattr(self, key)!r}")
-
     def __post_init__(self):
         for key, holds, requirement in self._ranges():
-            if not holds:
-                self._out_of_range(key, requirement)
+            require(holds, key, requirement, getattr(self, key))
+        TimeGrid(self.time_steps, 1.0)  # refuses a bad time_steps by its own rule
 
 
 @dataclass(frozen=True)
@@ -315,10 +338,7 @@ def _gn_direction(
 def _validate_problem(obs: ObservationSet, config: SolverConfig):
     if np.any(obs.initial.values < 0):
         raise ValueError("initial density must be nonnegative")
-    if obs.max_index() > config.time_steps:
-        raise ValueError(
-            f"observation at index {obs.max_index()} exceeds time_steps={config.time_steps}"
-        )
+    check_schedule(obs.entries, config.time_steps)
 
 
 def _sweep(v: VelocitySeries, obs: ObservationSet, config: SolverConfig):
@@ -469,30 +489,27 @@ def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
     )
 
 
-def solve_baseline(
-    rho0: ScalarField, rhoT_obs: ScalarField, config: SolverConfig
-) -> SolveResult:
-    """Classical fixed-endpoint transport baseline.
+def solve_baseline(obs: ObservationSet, config: SolverConfig) -> SolveResult:
+    """Classical fixed-endpoint transport baseline between the observations
+    at time index 0 and `time_steps`, the only ones it accepts
+    (`check_schedule` with `baseline`).
 
     Both densities are normalized to unit total mass, diffusion is switched
     off, and the endpoint is pinned through a large penalty weight; the same
     optimizer then runs unchanged.
     """
-    if rho0.grid != rhoT_obs.grid:
-        raise GridMismatchError("endpoint densities live on different grids")
-    mass0 = rho0.total_mass()
-    massT = rhoT_obs.total_mass()
-    if mass0 <= 0 or massT <= 0:
+    check_schedule(obs.entries, config.time_steps, baseline=True)
+    masses = [e.observed.total_mass() for e in obs.entries]
+    if min(masses) <= 0:
         raise ValueError("baseline endpoints must carry positive total mass")
-    start = ScalarField(rho0.grid, rho0.values / mass0)
-    target = ScalarField(rho0.grid, rhoT_obs.values / massT)
+    normalized = ObservationSet([
+        ObservationEntry(e.time_index, ScalarField(obs.grid, e.observed.values / mass))
+        for e, mass in zip(obs.entries, masses)
+    ])
     baseline_config = dataclasses.replace(
         config, sigma=0.0, alpha=config.alpha * BASELINE_ALPHA_FACTOR
     )
-    obs = ObservationSet(
-        [ObservationEntry(0, start), ObservationEntry(baseline_config.time_steps, target)]
-    )
-    return solve(obs, baseline_config)
+    return solve(normalized, baseline_config)
 
 
 def registration_errors(result_final: ScalarField, target: ScalarField) -> tuple[float, float]:

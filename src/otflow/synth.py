@@ -121,14 +121,11 @@ class SynthSpec:
                               "must stay below 2**64", "rng_seed")
         if not self.blobs:
             raise ConfigError("need at least one blob", "blobs")
-        if not 1 <= len(self.dims) <= 3 or min(self.dims) < 1:
-            raise ConfigError("'dims' needs 1 to 3 positive cell counts", "dims")
-        if max(self.dims) > _NIFTI_MAX_DIM:
+        grid = CellGrid(self.dims, self.spacing)
+        if max(grid.dims) > _NIFTI_MAX_DIM:
             raise ConfigError(f"'dims' entries must be at most {_NIFTI_MAX_DIM}, "
                               "the largest a NIfTI-1 header stores", "dims")
-        if not all(0 < h < math.inf for h in self.spacing):
-            raise ConfigError("'spacing' entries must be positive and finite", "spacing")
-        vectors = [("spacing", self.spacing), ("velocity.value", self.velocity.value),
+        vectors = [("velocity.value", self.velocity.value),
                    ("velocity.center", self.velocity.center)]
         vectors += [(f"blobs[{i}].center", b.center) for i, b in enumerate(self.blobs)]
         for key, vector in vectors:
@@ -145,7 +142,6 @@ class SynthSpec:
             raise ConfigError(f"'sigma_true' must be 0 for 'velocity.kind' "
                               f"{self.velocity.kind!r}: it has no closed form with "
                               "diffusion", "sigma_true")
-        grid = CellGrid(self.dims, self.spacing)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "dims", grid.dims)
         object.__setattr__(self, "spacing", grid.spacing)

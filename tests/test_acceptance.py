@@ -60,7 +60,7 @@ def denoise_runs(noisy_endpoint_pair):
     obs = ObservationSet([ObservationEntry(0, truth0), ObservationEntry(4, observed_T)])
     start = time.perf_counter()
     regularized = solve(obs, config)
-    baseline = solve_baseline(truth0, observed_T, config)
+    baseline = solve_baseline(obs, config)
     elapsed = time.perf_counter() - start
     return regularized, baseline, truth_T, elapsed
 

@@ -20,7 +20,6 @@ from otflow.forward import TimeGrid, VelocitySeries
 from otflow.grid import CellGrid, ScalarField
 from otflow.dataio import (
     RunConfig,
-    check_baseline_observations,
     read_config,
     read_synth_spec,
     read_velocity_series,
@@ -31,6 +30,7 @@ from otflow.dataio import (
     write_volume,
 )
 from otflow.bundles import quickbundles, ResampledTrack
+from otflow.solver import ObservationEntry, ObservationSet, SolverConfig, check_schedule, solve
 from otflow.streamlines import Streamline
 
 from conftest import philox
@@ -238,6 +238,16 @@ class TestHandCraftedAndMalformed:
         path = tmp_path / "dim5.nii"
         path.write_bytes(bytes(mutated))
         with pytest.raises(HeaderError, match="dimensionality"):
+            read_volume(path)
+
+    @pytest.mark.parametrize("dims, spacing, message", [
+        ([4, 0], [0.5, 0.5], "key 'dims' must be 1 to 3 positive cell counts, got [4, 0]"),
+        ([4, 2], [0.5, 0.0], "key 'spacing' must be positive and finite, one per axis"),
+    ], ids=["dims", "spacing"])
+    def test_bad_geometry_names_file_and_grid_rule(self, tmp_path, dims, spacing, message):
+        path = tmp_path / "bad_grid.nii"
+        path.write_bytes(craft_nifti_bytes(dims, spacing, b"\x00" * 32))
+        with pytest.raises(HeaderError, match=re.escape(f"{path}: {message}")):
             read_volume(path)
 
     def test_missing_file(self, tmp_path):
@@ -448,7 +458,8 @@ class TestRunConfig:
         # the shape of the denoise2d benchmark config: indices 0 and time_steps = 4, weight 1
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(MINIMAL_CONFIG, sigma=0.05, alpha=0.3, time_steps=4)))
-        check_baseline_observations(read_config(path))
+        cfg = read_config(path)
+        check_schedule(cfg.observations, cfg.time_steps, baseline=True)
 
     @pytest.mark.parametrize("time_index", [-1, -4])
     def test_negative_time_index_names_path(self, tmp_path, time_index):
@@ -459,6 +470,30 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=re.escape("observations[2].time_index")) as info:
             read_config(path)
         assert info.value.key == "observations[2].time_index"
+
+
+class TestObservationSchedule:
+    @pytest.mark.parametrize("schedule, key", [
+        ([(0, 1.0), (2, 1.0), (2, 1.0)], "observations"),
+        ([(1, 1.0), (4, 1.0)], "observations"),
+        ([(0, 1.0), (5, 1.0)], "observations"),
+        ([(0, 1.0), (4, 0.0)], "observations[1].weight"),
+    ], ids=["duplicate-index", "no-index-0", "index-past-time-steps", "weight-0"])
+    def test_config_and_solver_refuse_with_one_key(self, tmp_path, schedule, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(MINIMAL_CONFIG, time_steps=4, observations=[
+            {"time_index": n, "path": f"rho{n}.nii", "weight": w} for n, w in schedule
+        ])))
+        with pytest.raises(ConfigError) as from_config:
+            read_config(path)
+        grid = CellGrid([4, 4], [0.25, 0.25])
+        entries = [ObservationEntry(n, ScalarField(grid, np.ones(16))) for n, _ in schedule]
+        # an entry refuses a bad weight itself, so the weight is set after construction
+        for entry, (_, weight) in zip(entries, schedule):
+            entry.weight = weight
+        with pytest.raises(ConfigError) as from_solver:
+            solve(ObservationSet(entries), SolverConfig(time_steps=4, max_gn_iters=1))
+        assert from_config.value.key == from_solver.value.key == key
 
 
 SPEC = {

@@ -3,6 +3,7 @@ import types
 import numpy as np
 import pytest
 
+from otflow.errors import ConfigError
 from otflow.forward import (
     DensitySeries,
     ImplicitDiffusion,
@@ -50,6 +51,12 @@ class TestTimeGrid:
             TimeGrid(0, 0.1)
         with pytest.raises(ValueError):
             TimeGrid(2, -0.1)
+
+    @pytest.mark.parametrize("steps, dt, key", [(0, 0.1, "time_steps"), (2, 0.0, "dt")])
+    def test_bad_values_are_keyed(self, steps, dt, key):
+        with pytest.raises(ConfigError, match=f"key '{key}' must be") as info:
+            TimeGrid(steps, dt)
+        assert info.value.key == key
 
     def test_series_shape_checks(self):
         g = CellGrid([4], [1.0])

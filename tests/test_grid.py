@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from otflow.errors import OutsideDomainError
+from otflow.errors import ConfigError, OutsideDomainError
 from otflow.forward import TimeGrid, VelocitySeries
 from otflow.grid import CellGrid, ScalarField, VectorField, interpolate_components
 from otflow.streamlines import trace_streamlines
@@ -23,6 +25,16 @@ class TestBuildGrid:
     def test_rejects_bad_geometry(self, dims, spacing):
         with pytest.raises(ValueError):
             CellGrid(dims, spacing)
+
+    @pytest.mark.parametrize("dims, spacing, key, message", [
+        ([0, 4], [1.0, 1.0], "dims", "must be 1 to 3 positive cell counts, got [0, 4]"),
+        ([4], [1.0, 1.0], "spacing", "must be positive and finite, one per axis, got [1.0, 1.0]"),
+        ([4], [np.inf], "spacing", "must be positive and finite, one per axis, got [inf]"),
+    ], ids=["dims", "spacing-length", "spacing-infinite"])
+    def test_bad_geometry_is_keyed(self, dims, spacing, key, message):
+        with pytest.raises(ConfigError, match=re.escape(f"key '{key}' {message}")) as info:
+            CellGrid(dims, spacing)
+        assert info.value.key == key
 
     def test_centers_and_lengths(self):
         g = CellGrid([4], [0.5])

@@ -8,7 +8,7 @@ import scipy.sparse as sparse
 
 import otflow.forward
 import otflow.solver
-from otflow.errors import GridMismatchError
+from otflow.errors import ConfigError, GridMismatchError
 from otflow.forward import (
     DensitySeries,
     ImplicitDiffusion,
@@ -241,10 +241,10 @@ class TestBatchedSweeps:
     def test_solves_byte_equal_with_interval_sweeps(self, monkeypatch, dims, steps):
         rho0, target, config = _blob_problem(dims, steps)
         obs = _pair_obs(rho0, target, steps)
-        batched = [solve(obs, config), solve_baseline(rho0, target, config)]
+        batched = [solve(obs, config), solve_baseline(obs, config)]
         monkeypatch.setattr(otflow.solver, "linearized_sweep", interval_linearized_sweep)
         monkeypatch.setattr(otflow.solver, "adjoint_sweep", interval_adjoint_sweep)
-        reference = [solve(obs, config), solve_baseline(rho0, target, config)]
+        reference = [solve(obs, config), solve_baseline(obs, config)]
         for got, want in zip(batched, reference):
             assert len(got.diagnostics) == 4  # three GN iterations
             assert got.velocity.values.tobytes() == want.velocity.values.tobytes()
@@ -721,7 +721,7 @@ class TestBaseline:
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.15, 1.0)
         doubled = ScalarField(g, 2.0 * rho0.values)  # same shape, double mass
         cfg = SolverConfig(sigma=0.1, alpha=1.0, time_steps=3)
-        res = solve_baseline(rho0, doubled, cfg)
+        res = solve_baseline(_pair_obs(rho0, doubled, cfg.time_steps), cfg)
         np.testing.assert_allclose(res.velocity.values, 0.0)
         assert res.diagnostics[-1].phi == 0.0
 
@@ -730,16 +730,25 @@ class TestBaseline:
         rho0 = gaussian_blob(g, (0.4, 0.5), 0.15, 2.5)
         target = gaussian_blob(g, (0.6, 0.5), 0.15, 0.7)
         cfg = SolverConfig(alpha=1.0, time_steps=2, max_gn_iters=2)
-        res = solve_baseline(rho0, target, cfg)
+        res = solve_baseline(_pair_obs(rho0, target, cfg.time_steps), cfg)
         assert res.densities.values[0].sum() == pytest.approx(1.0, abs=1e-12)
         # endpoint of the recovered trajectory keeps unit mass too
         assert res.densities.values[-1].sum() == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("schedule", [[(0, 1.0), (2, 1.0), (4, 1.0)], [(0, 1.0), (4, 2.0)]],
+                             ids=["three-observations", "weighted-endpoint"])
+    def test_refuses_observations_it_would_misread(self, grid_2d, schedule):
+        f = ScalarField(grid_2d, np.ones(grid_2d.cell_count))
+        obs = ObservationSet([ObservationEntry(n, f, w) for n, w in schedule])
+        with pytest.raises(ConfigError, match="needs exactly the observations") as info:
+            solve_baseline(obs, SolverConfig(time_steps=4))
+        assert info.value.key == "observations"
 
     def test_rejects_empty_mass(self, grid_2d):
         zero = ScalarField(grid_2d, np.zeros(grid_2d.cell_count))
         one = ScalarField(grid_2d, np.ones(grid_2d.cell_count))
         with pytest.raises(ValueError):
-            solve_baseline(zero, one, SolverConfig())
+            solve_baseline(_pair_obs(zero, one, 4), SolverConfig())
 
 
 class TestMetrics:
