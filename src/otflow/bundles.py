@@ -9,6 +9,7 @@ their members, each member flip-aligned to the centroid when it joins.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +18,9 @@ from .grid import CellGrid
 from .streamlines import Streamline
 
 __all__ = [
-    "ResampledTrack",
     "Cluster",
     "ClusterSet",
-    "resample_track",
+    "resample_tracks",
     "quickbundles",
     "significant_clusters",
     "cluster_label_volume",
@@ -28,23 +28,8 @@ __all__ = [
 
 
 @dataclass(eq=False)
-class ResampledTrack:
-    points: np.ndarray  # (K, ndim), equidistant in arc length
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[0] < 2:
-            raise ValueError("resampled track needs at least 2 points")
-        self.points = pts
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass(eq=False)
 class Cluster:
-    centroid: ResampledTrack
+    centroid: np.ndarray  # (K, ndim), the mean of the flip-aligned members
     member_ids: list[int]
 
 
@@ -54,83 +39,97 @@ class ClusterSet:
     threshold: float
 
 
-def resample_track(s: Streamline, K: int) -> ResampledTrack:
-    """Resample a polyline to K points at equal arc-length spacing.
+def resample_tracks(streamlines: Sequence[Streamline], K: int) -> np.ndarray:
+    """Resample every polyline to K points at equal arc-length spacing.
 
-    Endpoints are preserved exactly; a single-point (or zero-length) track is
-    replicated K times.
+    Returns shape (ntracks, K, ndim). Endpoints are preserved exactly; a
+    single-point (or zero-length) track is replicated K times. The tracks are
+    padded to the longest and resampled together, each row through the same
+    floating-point operations as a track resampled on its own.
     """
     if K < 2:
         raise ValueError(f"need at least 2 resample points, got {K}")
-    pts = np.atleast_2d(s.points)
-    if pts.shape[0] == 1:
-        return ResampledTrack(np.repeat(pts, K, axis=0))
-    seg = np.diff(pts, axis=0)
-    seglen = np.linalg.norm(seg, axis=1)
-    keep = seglen > 0
-    if not keep.any():
-        return ResampledTrack(np.repeat(pts[:1], K, axis=0))
-    # drop zero-length segments so interpolation parameters stay finite
-    pts = np.concatenate([pts[:1], pts[1:][keep]], axis=0)
-    seglen = seglen[keep]
-    cum = np.concatenate([[0.0], np.cumsum(seglen)])
-    targets = np.linspace(0.0, cum[-1], K)
-    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seglen) - 1)
-    t = (targets - cum[idx]) / seglen[idx]
-    out = pts[idx] + t[:, None] * (pts[idx + 1] - pts[idx])
-    out[0] = pts[0]
-    out[-1] = pts[-1]
-    return ResampledTrack(out)
+    if not streamlines:
+        raise ValueError("no tracks to resample")
+    npoints = np.array([len(sl.points) for sl in streamlines])
+    flat = np.concatenate([sl.points for sl in streamlines])
+    pts = np.zeros((len(npoints), npoints.max(), flat.shape[1]))
+    pts[np.arange(npoints.max()) < npoints[:, None]] = flat
+    seglen = np.linalg.norm(np.diff(pts, axis=1), axis=2)
+    # drop zero-length segments so interpolation parameters stay finite: the
+    # kept ones move to the front of their row, in order, and the rest read 0
+    keep = (seglen > 0) & (np.arange(seglen.shape[1]) < npoints[:, None] - 1)
+    nkeep = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")
+    seglen = np.where(np.arange(seglen.shape[1]) < nkeep[:, None],
+                      np.take_along_axis(seglen, order, axis=1), 0.0)
+    pts = np.concatenate([pts[:, :1], np.take_along_axis(pts[:, 1:], order[..., None], axis=1)],
+                         axis=1)
+
+    out = np.repeat(pts[:, :1], K, axis=1)
+    live = np.flatnonzero(nkeep)
+    if live.size == 0:
+        return out
+    pts, seglen, last = pts[live], seglen[live], nkeep[live]
+    row = np.arange(live.size)
+    cum = np.concatenate([np.zeros((live.size, 1)), np.cumsum(seglen, axis=1)], axis=1)
+    # a kept segment is longer than sqrt(the least subnormal), so no row's step
+    # underflows and linspace computes every row as it would that row alone
+    targets = np.linspace(0.0, cum[row, last], K, axis=1)
+    # searchsorted(cum, targets, side="right") - 1 per row; the padded tail of
+    # cum equals the total, so it only adds to counts that the clip bounds
+    idx = (cum[:, None, :] <= targets[..., None]).sum(axis=2) - 1
+    idx = np.clip(idx, 0, last[:, None] - 1)
+    rows = row[:, None]
+    t = (targets - cum[rows, idx]) / seglen[rows, idx]
+    res = pts[rows, idx] + t[..., None] * (pts[rows, idx + 1] - pts[rows, idx])
+    res[:, 0] = pts[:, 0]
+    res[:, -1] = pts[row, last]
+    out[live] = res
+    return out
 
 
-def _mean_pointwise(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    direct = float(np.linalg.norm(a - b, axis=1).mean())
-    flipped = float(np.linalg.norm(a - b[::-1], axis=1).mean())
-    return direct, flipped
-
-
-def quickbundles(tracks: list[ResampledTrack], threshold: float) -> ClusterSet:
+def quickbundles(tracks, threshold: float) -> ClusterSet:
     """One-pass clustering in input order under the MDF distance.
 
-    The output depends on the input order (this is inherent to the algorithm);
-    for a fixed order it is fully deterministic.
+    tracks has shape (ntracks, K, ndim), as `resample_tracks` returns. Each
+    track is measured against all centroids at once. The output depends on
+    the input order (this is inherent to the algorithm); for a fixed order it
+    is fully deterministic.
     """
-    if not tracks:
+    tracks = np.asarray(tracks, dtype=float)
+    if len(tracks) == 0:
         raise ValueError("no tracks to cluster")
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    K = tracks[0].n_points
-    sums: list[np.ndarray] = []
-    counts: list[int] = []
+    if tracks.ndim != 3 or tracks.shape[1] < 2:
+        raise ValueError(f"tracks must have shape (ntracks, K >= 2, ndim), got {tracks.shape}")
+    # each track as it is and reversed, for the direct and flipped distances
+    both = np.stack([tracks, tracks[:, ::-1]], axis=1)
+    sums = np.empty_like(tracks)
+    centroids = np.empty_like(tracks)
+    counts = np.zeros(len(tracks), dtype=np.int64)
     members: list[list[int]] = []
-    for i, track in enumerate(tracks):
-        if track.n_points != K:
-            raise ValueError("all tracks must share the same point count")
-        best_dist = np.inf
-        best_ci = -1
-        best_flip = False
-        for ci in range(len(sums)):
-            centroid = sums[ci] / counts[ci]
-            direct, flipped = _mean_pointwise(centroid, track.points)
-            dist = min(direct, flipped)
-            if dist < best_dist:
-                best_dist = dist
-                best_ci = ci
-                best_flip = flipped < direct
-        if best_ci >= 0 and best_dist <= threshold:
-            aligned = track.points[::-1] if best_flip else track.points
-            sums[best_ci] = sums[best_ci] + aligned
-            counts[best_ci] += 1
-            members[best_ci].append(i)
-        else:
-            sums.append(track.points.copy())
-            counts.append(1)
-            members.append([i])
-    clusters = [
-        Cluster(ResampledTrack(sums[ci] / counts[ci]), members[ci])
-        for ci in range(len(sums))
-    ]
-    return ClusterSet(clusters, float(threshold))
+    for i, pair in enumerate(both):
+        n = len(members)
+        if n:
+            # (2, n): mean pointwise distance to each centroid, direct then flipped
+            mean = np.linalg.norm(centroids[:n] - pair[:, None], axis=3).mean(axis=2)
+            dist = mean.min(axis=0)
+            ci = int(np.argmin(dist))  # the lowest cluster index wins ties
+            if dist[ci] <= threshold:
+                sums[ci] += pair[int(mean[1, ci] < mean[0, ci])]
+                counts[ci] += 1
+                centroids[ci] = sums[ci] / counts[ci]
+                members[ci].append(i)
+                continue
+        sums[n] = centroids[n] = pair[0]
+        counts[n] = 1
+        members.append([i])
+    return ClusterSet(
+        [Cluster(c, m) for c, m in zip(centroids[: len(members)].copy(), members)],
+        float(threshold),
+    )
 
 
 def significant_clusters(cs: ClusterSet, min_size: int) -> ClusterSet:
@@ -155,7 +154,7 @@ def cluster_label_volume(cs: ClusterSet, grid: CellGrid) -> np.ndarray:
         key=lambda ci: (len(cs.clusters[ci].member_ids), -ci),
     )
     for ci in order:
-        pts = grid.clamp_points(cs.clusters[ci].centroid.points)
+        pts = grid.clamp_points(cs.clusters[ci].centroid)
         cells = np.unique(grid.cells_of_points(pts))
         labels[cells] = ci + 1
     return labels

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundles import cluster_label_volume, quickbundles, resample_track, significant_clusters
+from .bundles import cluster_label_volume, quickbundles, resample_tracks, significant_clusters
 from .dataio import (
     RunConfig,
     _json_dump,
@@ -132,7 +132,7 @@ def cmd_fpa(args) -> int:
         write_volume(out / "pathways.nii", grid, pathways.astype(float))
 
         stage = "cluster"
-        tracks = [resample_track(sl, cfg.qb_points) for sl in lines]
+        tracks = resample_tracks(lines, cfg.qb_points)
         clusters = significant_clusters(
             quickbundles(tracks, threshold), cfg.min_cluster_size
         )

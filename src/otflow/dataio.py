@@ -15,6 +15,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -247,15 +248,13 @@ def read_velocity_series(path_prefix) -> VelocitySeries:
     prefix = Path(path_prefix)
     path = f"{prefix}_manifest.json"
     manifest = _load_json_object(path, "velocity manifest")
-    try:
+    with _naming(path):
         m = _read_object(manifest, "", {"time_steps": int, "dt": _NUMBER, "components": int,
                                         "dims": [int], "spacing": [_NUMBER]}, {})
         grid = CellGrid(m["dims"], m["spacing"])
         time_grid = TimeGrid(m["time_steps"], float(m["dt"]))
         require(m["components"] == grid.ndim, "components", "the number of axes in 'dims'",
                 m["components"])
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}", exc.key) from exc
     values = np.empty((time_grid.steps, grid.ndim, grid.cell_count))
     for n in range(time_grid.steps):
         for k in range(grid.ndim):
@@ -268,22 +267,27 @@ def read_velocity_series(path_prefix) -> VelocitySeries:
     return VelocitySeries(grid, time_grid, values)
 
 
+def _float_list(n: int) -> str:
+    return "[" + ",".join(["%r"] * n) + "]"
+
+
 def write_streamlines_jsonl(path, streamlines: list[Streamline]) -> None:
-    """One streamline per line: seed, step size, and the point array."""
-    lines = []
+    """One streamline per line: seed, step size, and the point array.
+
+    Each line holds the bytes of `json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`: the coordinates are finite, and json writes a
+    finite float as its `repr`.
+    """
+    templates, values = [], []
     for sl in streamlines:
-        lines.append(
-            json.dumps(
-                {
-                    "seed": sl.seed.tolist(),
-                    "step_size": sl.step_size,
-                    "points": sl.points.tolist(),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        npoints, ndim = sl.points.shape
+        templates.append('{"points":[' + ",".join([_float_list(ndim)] * npoints)
+                         + '],"seed":' + _float_list(sl.seed.size) + ',"step_size":%r}')
+        values += sl.points.ravel().tolist()
+        values += sl.seed.tolist()
+        values.append(sl.step_size)
+    text = "\n".join(templates) % tuple(values)
+    Path(path).write_text(text + ("\n" if templates else ""))
 
 
 def write_clusters_json(path, cluster_set) -> None:
@@ -291,7 +295,7 @@ def write_clusters_json(path, cluster_set) -> None:
         "threshold": cluster_set.threshold,
         "clusters": [
             {
-                "centroid": c.centroid.points.tolist(),
+                "centroid": c.centroid.tolist(),
                 "member_ids": list(c.member_ids),
             }
             for c in cluster_set.clusters
@@ -411,6 +415,15 @@ def _read_object(doc, where: str, required: dict, optional: dict) -> dict:
     return out
 
 
+@contextmanager
+def _naming(path):
+    """Put the file's path in front of a `ConfigError` raised inside, keeping its key."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}", exc.key) from exc
+
+
 def _load_json_object(path, what: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -427,40 +440,45 @@ def read_config(path) -> RunConfig:
     Missing optional keys get their documented defaults; unknown keys and type
     mismatches are rejected with the offending key path.
     """
-    doc = _read_object(_load_json_object(path, "run configuration"), "",
-                       {"output_dir": str, "observations": list}, _SCALAR_KEYS)
-    refs = []
-    for i, entry in enumerate(doc.pop("observations")):
-        e = _read_object(entry, f"observations[{i}]", {"time_index": int, "path": str},
-                         {"weight": (_NUMBER, 1.0)})
-        refs.append(ObservationRef(e["time_index"], e["path"], float(e["weight"])))
-    cfg = RunConfig(observations=tuple(sorted(refs, key=lambda r: r.time_index)), **doc)
-    check_schedule(refs, cfg.time_steps, cfg.baseline_mode)
+    doc = _load_json_object(path, "run configuration")
+    with _naming(path):
+        doc = _read_object(doc, "", {"output_dir": str, "observations": list}, _SCALAR_KEYS)
+        refs = []
+        for i, entry in enumerate(doc.pop("observations")):
+            e = _read_object(entry, f"observations[{i}]", {"time_index": int, "path": str},
+                             {"weight": (_NUMBER, 1.0)})
+            refs.append(ObservationRef(e["time_index"], e["path"], float(e["weight"])))
+        cfg = RunConfig(observations=tuple(sorted(refs, key=lambda r: r.time_index)), **doc)
+        check_schedule(refs, cfg.time_steps, cfg.baseline_mode)
     return cfg
 
 
 def read_synth_spec(path) -> SynthSpec:
     """Read a synthetic-instance description from JSON."""
-    doc = _read_object(
-        _load_json_object(path, "synthetic spec"), "",
-        {"dims": [int], "spacing": [_NUMBER], "blobs": list, "velocity": dict},
-        {"sigma_true": (_NUMBER, 0.0), "noise_std": (_NUMBER, 0.0), "rng_seed": (int, 0),
-         "observe_times": ([_NUMBER], (0.0, 1.0))},
-    )
-    blobs = []
-    for i, b in enumerate(doc["blobs"]):
-        where = f"blobs[{i}]"
-        b = _read_object(b, where, {"center": [_NUMBER], "width": _NUMBER, "mass": _NUMBER}, {})
+    doc = _load_json_object(path, "synthetic spec")
+    with _naming(path):
+        doc = _read_object(
+            doc, "",
+            {"dims": [int], "spacing": [_NUMBER], "blobs": list, "velocity": dict},
+            {"sigma_true": (_NUMBER, 0.0), "noise_std": (_NUMBER, 0.0), "rng_seed": (int, 0),
+             "observe_times": ([_NUMBER], (0.0, 1.0))},
+        )
+        blobs = []
+        for i, b in enumerate(doc["blobs"]):
+            where = f"blobs[{i}]"
+            b = _read_object(b, where, {"center": [_NUMBER], "width": _NUMBER,
+                                        "mass": _NUMBER}, {})
+            try:
+                blobs.append(Blob(b["center"], float(b["width"]), float(b["mass"])))
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}", where) from exc
+        vel = _read_object(doc["velocity"], "velocity", {"kind": str},
+                           {"value": ([_NUMBER], None), "center": ([_NUMBER], None),
+                            "rate": (_NUMBER, 0.0)})
         try:
-            blobs.append(Blob(b["center"], float(b["width"]), float(b["mass"])))
+            model = VelocityModel(vel["kind"], vel["value"], vel["center"], float(vel["rate"]))
         except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}", where) from exc
-    vel = _read_object(doc["velocity"], "velocity", {"kind": str},
-                       {"value": ([_NUMBER], None), "center": ([_NUMBER], None),
-                        "rate": (_NUMBER, 0.0)})
-    try:
-        model = VelocityModel(vel["kind"], vel["value"], vel["center"], float(vel["rate"]))
-    except ValueError as exc:
-        raise ConfigError(f"'velocity': {exc}", "velocity") from exc
-    return SynthSpec(**dict(doc, blobs=tuple(blobs), velocity=model,
-                            sigma_true=float(doc["sigma_true"]), noise_std=float(doc["noise_std"])))
+            raise ConfigError(f"'velocity': {exc}", "velocity") from exc
+        return SynthSpec(**dict(doc, blobs=tuple(blobs), velocity=model,
+                                sigma_true=float(doc["sigma_true"]),
+                                noise_std=float(doc["noise_std"])))

@@ -175,7 +175,7 @@ def _fold_corners(pairs, combine, start: np.ndarray) -> np.ndarray:
     """
     out = start[None, :]
     for lo, hi in pairs:
-        out = np.vstack([combine(out, lo), combine(out, hi)])
+        out = np.concatenate([combine(out, lo), combine(out, hi)])
     return out
 
 
@@ -197,9 +197,9 @@ def interpolate_components(grid: CellGrid, components: np.ndarray, positions: np
     """
     base, frac, _ = _stencil(grid, positions.T / np.asarray(grid.spacing)[:, None] - 0.5)
     weights = _fold_corners(zip(1.0 - frac, frac), np.multiply, np.ones(positions.shape[0]))
-    cells = _corner_cells(grid, base)
+    terms = weights * components[:, _corner_cells(grid, base)]  # (ncomp, 2^d, npoints)
     out = np.zeros((positions.shape[0], components.shape[0]))
     # add the corners with the last axis fastest: traced streamlines depend on this rounding
-    for c in np.arange(len(cells)).reshape((2,) * grid.ndim).ravel(order="F"):
-        out += weights[c][:, None] * components[:, cells[c]].T
+    for c in np.arange(len(weights)).reshape((2,) * grid.ndim).ravel(order="F"):
+        out += terms[:, c].T
     return out

@@ -128,8 +128,10 @@ def trace_streamlines(
 def pathway_density(streamlines: list[Streamline], grid: CellGrid) -> np.ndarray:
     """Count, per cell, how many streamlines visit it (each at most once):
     int64, in canonical cell order."""
-    counts = np.zeros(grid.cell_count, dtype=np.int64)
-    for sl in streamlines:
-        cells = np.unique(grid.cells_of_points(sl.points))
-        counts[cells] += 1
-    return counts
+    if not streamlines:
+        return np.zeros(grid.cell_count, dtype=np.int64)
+    ids = np.repeat(np.arange(len(streamlines)), [len(sl.points) for sl in streamlines])
+    cells = grid.cells_of_points(np.concatenate([sl.points for sl in streamlines]))
+    # one key per (streamline, cell) visit, so a revisited cell counts once
+    visits = np.unique(ids * grid.cell_count + cells)
+    return np.bincount(visits % grid.cell_count, minlength=grid.cell_count)

@@ -1,12 +1,14 @@
 """Independent oracles that the tests check the package against."""
 
+import json
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
 
+from otflow.bundles import Cluster, ClusterSet
 from otflow.forward import ImplicitDiffusion, Sweep, VelocitySeries
-from otflow.grid import CellGrid
+from otflow.grid import CellGrid, _corner_cells, _fold_corners, _stencil
 from otflow.operators import advection_weight_gradients
 from otflow.solver import GN_CG_MAX_ITERS, GN_CG_TOLERANCE
 
@@ -139,3 +141,93 @@ def finite_difference_gradient(
     plus = f(VelocitySeries(v.grid, v.time_grid, v.values + eps * dv.values))
     minus = f(VelocitySeries(v.grid, v.time_grid, v.values - eps * dv.values))
     return (plus - minus) / (2.0 * eps)
+
+
+def per_track_resample(points: np.ndarray, K: int) -> np.ndarray:
+    """One polyline resampled to K points at equal arc-length spacing, on its
+    own: zero-length segments dropped, `np.searchsorted` for the segment of
+    each target, endpoints kept exactly."""
+    pts = np.atleast_2d(points)
+    if pts.shape[0] == 1:
+        return np.repeat(pts, K, axis=0)
+    seglen = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    keep = seglen > 0
+    if not keep.any():
+        return np.repeat(pts[:1], K, axis=0)
+    pts = np.concatenate([pts[:1], pts[1:][keep]], axis=0)
+    seglen = seglen[keep]
+    cum = np.concatenate([[0.0], np.cumsum(seglen)])
+    targets = np.linspace(0.0, cum[-1], K)
+    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seglen) - 1)
+    t = (targets - cum[idx]) / seglen[idx]
+    out = pts[idx] + t[:, None] * (pts[idx + 1] - pts[idx])
+    out[0] = pts[0]
+    out[-1] = pts[-1]
+    return out
+
+
+def mean_pointwise(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Mean pointwise distance of two resampled tracks, direct and with b flipped."""
+    direct = float(np.linalg.norm(a - b, axis=1).mean())
+    flipped = float(np.linalg.norm(a - b[::-1], axis=1).mean())
+    return direct, flipped
+
+
+def per_centroid_quickbundles(tracks: np.ndarray, threshold: float) -> ClusterSet:
+    """QuickBundles with a loop over the centroids for each track: the first
+    strictly nearest centroid wins, and a member joins flipped when the
+    flipped distance is strictly the smaller."""
+    sums, counts, members = [], [], []
+    for i, track in enumerate(tracks):
+        best_dist, best_ci, best_flip = np.inf, -1, False
+        for ci in range(len(sums)):
+            direct, flipped = mean_pointwise(sums[ci] / counts[ci], track)
+            dist = min(direct, flipped)
+            if dist < best_dist:
+                best_dist, best_ci, best_flip = dist, ci, flipped < direct
+        if best_ci >= 0 and best_dist <= threshold:
+            sums[best_ci] = sums[best_ci] + (track[::-1] if best_flip else track)
+            counts[best_ci] += 1
+            members[best_ci].append(i)
+        else:
+            sums.append(track.copy())
+            counts.append(1)
+            members.append([i])
+    return ClusterSet(
+        [Cluster(s / c, m) for s, c, m in zip(sums, counts, members)], float(threshold)
+    )
+
+
+def per_streamline_pathway_density(streamlines, grid: CellGrid) -> np.ndarray:
+    """Pathway counts with one `np.unique` of cells per streamline."""
+    counts = np.zeros(grid.cell_count, dtype=np.int64)
+    for sl in streamlines:
+        counts[np.unique(grid.cells_of_points(sl.points))] += 1
+    return counts
+
+
+def json_streamlines_text(streamlines) -> str:
+    """The streamline file written with one `json.dumps` per line."""
+    lines = [
+        json.dumps(
+            {"seed": sl.seed.tolist(), "step_size": sl.step_size, "points": sl.points.tolist()},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        for sl in streamlines
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def per_corner_interpolate(
+    grid: CellGrid, components: np.ndarray, positions: np.ndarray
+) -> np.ndarray:
+    """Multilinear interpolation with one gather per stencil corner, added
+    with the last axis fastest."""
+    base, frac, _ = _stencil(grid, positions.T / np.asarray(grid.spacing)[:, None] - 0.5)
+    weights = _fold_corners(zip(1.0 - frac, frac), np.multiply, np.ones(positions.shape[0]))
+    cells = _corner_cells(grid, base)
+    out = np.zeros((positions.shape[0], components.shape[0]))
+    for c in np.arange(len(cells)).reshape((2,) * grid.ndim).ravel(order="F"):
+        out += weights[c][:, None] * components[:, cells[c]].T
+    return out

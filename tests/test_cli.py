@@ -94,6 +94,14 @@ class TestSolveCommand:
         assert run("solve", "--config", str(cfg)) == 2
         assert (tmp_path / "out" / "clean_t3.nii").exists()
 
+    def test_config_error_names_the_file_under_dry_run(self, tmp_path, capsys):
+        write_pair(tmp_path)
+        cfg = write_config(tmp_path, final_index=5)
+        assert run("solve", "--config", str(cfg), "--dry-run") == 1
+        assert (f"error: {cfg}: observation time_index 5 exceeds time_steps=3"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         write_pair(tmp_path)
         cfg = write_config(tmp_path)
@@ -310,6 +318,13 @@ class TestSynthCommand:
         manifest = json.loads((out / "truth_manifest.json").read_text())
         assert manifest["total_mass"] == 2.5
 
+    def test_spec_error_names_the_file_under_dry_run(self, tmp_path, capsys):
+        path = self._spec(tmp_path, noise_std=-0.01)
+        out = tmp_path / "synth"
+        assert run("synth", str(path), "--out", str(out), "--dry-run") == 1
+        assert f"error: {path}: 'noise_std' must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_spec_exit_1(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"dims": [4]}))
@@ -357,7 +372,7 @@ class TestSynthCommand:
         path.write_text(json.dumps(doc))
         out = tmp_path / "synth"
         assert run("synth", str(path), "--out", str(out), *dry_run) == 1
-        assert "error: unknown key 'velocity.rat'" in capsys.readouterr().err
+        assert f"error: {path}: unknown key 'velocity.rat'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry-run"])
@@ -380,7 +395,7 @@ class TestSynthCommand:
         path.write_text(json.dumps(doc))
         out = tmp_path / "synth"
         assert run("synth", str(path), "--out", str(out), *dry_run) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_last_philox_key_is_written(self, tmp_path):
@@ -397,7 +412,7 @@ class TestSynthCommand:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         assert run("synth", str(path), "--out", str(tmp_path / "synth"), "--dry-run") == 1
-        assert "error: key 'dims' must be a list" in capsys.readouterr().err
+        assert f"error: {path}: key 'dims' must be a list" in capsys.readouterr().err
 
 
 class TestCompareCommand:

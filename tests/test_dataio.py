@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from otflow.errors import (
     BadMagicError,
@@ -29,11 +30,12 @@ from otflow.dataio import (
     write_velocity_series,
     write_volume,
 )
-from otflow.bundles import quickbundles, ResampledTrack
+from otflow.bundles import quickbundles
 from otflow.solver import ObservationEntry, ObservationSet, SolverConfig, check_schedule, solve
 from otflow.streamlines import Streamline
 
 from conftest import philox
+from oracles import json_streamlines_text
 
 
 def f4(values):
@@ -305,12 +307,25 @@ class TestStreamlineAndClusterFiles:
             assert np.array_equal(a["points"], b.points)
             assert a["step_size"] == b.step_size
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_streamlines_jsonl_bytes_equal_json_dumps(self, tmp_path_factory, data):
+        # any finite float: signed zeros, subnormals, and both exponent forms of repr
+        number = st.floats(allow_nan=False, allow_infinity=False)
+        ndim = data.draw(st.integers(1, 3))
+        lines = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            npts = data.draw(st.integers(1, 5))
+            pts = np.array(data.draw(st.lists(st.lists(number, min_size=ndim, max_size=ndim),
+                                              min_size=npts, max_size=npts)))
+            lines.append(Streamline(pts[0], pts, data.draw(number)))
+        path = tmp_path_factory.mktemp("jsonl") / "streamlines.jsonl"
+        write_streamlines_jsonl(path, lines)
+        assert path.read_bytes() == json_streamlines_text(lines).encode()
+
     def test_clusters_json_shape(self, tmp_path):
         xs = np.linspace(0, 1, 12)
-        tracks = [
-            ResampledTrack(np.stack([xs, np.full(12, y)], axis=1))
-            for y in (0.0, 0.01, 5.0)
-        ]
+        tracks = [np.stack([xs, np.full(12, y)], axis=1) for y in (0.0, 0.01, 5.0)]
         cs = quickbundles(tracks, 0.5)
         path = tmp_path / "clusters.json"
         write_clusters_json(path, cs)
@@ -330,6 +345,14 @@ MINIMAL_CONFIG = {
 
 
 class TestRunConfig:
+    def test_errors_name_the_file_and_keep_the_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(MINIMAL_CONFIG, time_steps=3)))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: observation time_index 4 "
+                                                        "exceeds time_steps=3")) as info:
+            read_config(path)
+        assert info.value.key == "observations"
+
     def test_minimal_config_gets_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(MINIMAL_CONFIG))
@@ -505,6 +528,14 @@ SPEC = {
 
 
 class TestSynthSpecFile:
+    def test_errors_name_the_file_and_keep_the_key(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(SPEC, noise_std=-1.0)))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: 'noise_std' must be "
+                                                        "nonnegative")) as info:
+            read_synth_spec(path)
+        assert info.value.key == "noise_std"
+
     def test_read_spec(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(SPEC))

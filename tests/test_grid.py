@@ -9,6 +9,7 @@ from otflow.grid import CellGrid, ScalarField, VectorField, interpolate_componen
 from otflow.streamlines import trace_streamlines
 
 from conftest import philox
+from oracles import per_corner_interpolate
 
 
 class TestBuildGrid:
@@ -133,6 +134,17 @@ class TestSampling:
                 interpolate_components(g, v.components, p[None, :])[0], coef @ p + offset,
                 rtol=1e-12, atol=1e-12,
             )
+
+    @pytest.mark.parametrize("dims", [(7,), (6, 5), (4, 5, 3), (6, 1), (3, 1, 4)])
+    def test_bit_identical_to_per_corner_sums(self, dims):
+        g = CellGrid(dims, [0.5] * len(dims))
+        rng = philox(len(dims) + sum(dims))
+        comp = rng.standard_normal((g.ndim, g.cell_count))
+        # interior points, cell centers and both walls of every axis
+        pts = np.vstack([rng.uniform(0, g.lengths, (50, g.ndim)), g.cell_centers(),
+                         np.zeros((1, g.ndim)), np.asarray(g.lengths)[None, :]])
+        assert np.array_equal(interpolate_components(g, comp, pts),
+                              per_corner_interpolate(g, comp, pts))
 
     def test_clamped_in_wall_strip(self):
         # between the wall and the first cell center the value is held constant

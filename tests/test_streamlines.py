@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from otflow.errors import EmptySeedsError, OutsideDomainError
 from otflow.forward import TimeGrid, VelocitySeries
@@ -14,6 +15,7 @@ from otflow.streamlines import (
 from otflow.synth import Blob, SynthSpec, VelocityModel, true_velocity_series
 
 from conftest import philox, smooth_velocity
+from oracles import per_corner_interpolate, per_streamline_pathway_density
 
 
 def _rotation_series(rate, steps=1, n=64):
@@ -236,6 +238,21 @@ class TestTraceStreamlines:
         v = _constant_series((0.1, 0.0))
         assert trace_streamlines(v, np.empty((0, 2)), 0.01, 100) == []
 
+    @pytest.mark.parametrize("dims", [(16, 16), (8, 8, 8), (12, 1), (6, 1, 7)],
+                             ids=["2d", "3d", "2d-one-row", "3d-one-slab"])
+    def test_matches_per_corner_sampler(self, dims, monkeypatch):
+        grid = CellGrid(dims, [1 / n for n in dims])
+        frames = [smooth_velocity(grid, seed=60 + i, scale=0.3) for i in range(2)]
+        v = VelocitySeries(grid, TimeGrid.unit_horizon(2), np.array(frames))
+        rng = philox(len(dims))
+        seeds = np.vstack([grid.cell_centers()[::5], rng.uniform(0, 1, (16, len(dims)))])
+        lines = trace_streamlines(v, seeds, 0.05, 10**6)
+        monkeypatch.setattr("otflow.streamlines.interpolate_components", per_corner_interpolate)
+        want = trace_streamlines(v, seeds, 0.05, 10**6)
+        assert sum(len(sl.points) for sl in lines) > 2 * len(seeds)
+        for a, b in zip(lines, want):
+            assert np.array_equal(a.points, b.points)
+
 
 class TestPathwayDensity:
     def test_single_cell_streamline(self):
@@ -280,3 +297,31 @@ class TestPathwayDensity:
         np.testing.assert_array_equal(counts, expect)
         shuffled = [lines[i] for i in rng.permutation(len(lines))]
         np.testing.assert_array_equal(pathway_density(shuffled, g), counts)
+
+    def test_track_that_reenters_a_cell_counts_once(self):
+        g = CellGrid([3, 2], [1.0, 1.0])
+        pts = [[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 0.5], [0.6, 0.4], [2.5, 1.5]]
+        counts = pathway_density([Streamline(pts[0], pts, 0.1)], g)
+        assert counts.tolist() == [1, 1, 0, 0, 1, 1]
+
+    def test_no_streamlines(self):
+        g = CellGrid([3, 2], [1.0, 1.0])
+        counts = pathway_density([], g)
+        assert counts.dtype == np.int64 and counts.tolist() == [0] * 6
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_per_streamline_count(self, data):
+        dims = data.draw(st.sampled_from([(5,), (4, 3), (3, 1, 4)]))
+        g = CellGrid(dims, [0.5] * len(dims))
+        lines = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            npts = data.draw(st.integers(1, 12))
+            # a quarter-cell lattice puts points on cell walls and domain walls too
+            pts = np.array(data.draw(st.lists(
+                st.tuples(*[st.integers(0, 2 * n).map(lambda i: i / 4) for n in dims]),
+                min_size=npts, max_size=npts)))
+            lines.append(Streamline(pts[0], pts, 0.1))
+        got = pathway_density(lines, g)
+        want = per_streamline_pathway_density(lines, g)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
