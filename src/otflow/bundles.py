@@ -92,11 +92,13 @@ def resample_tracks(streamlines: Sequence[Streamline], K: int) -> np.ndarray:
 def quickbundles(tracks, threshold: float) -> ClusterSet:
     """One-pass clustering in input order under the MDF distance.
 
-    tracks has shape (ntracks, K, ndim), as `resample_tracks` returns. Each
-    track is measured against all centroids at once. The output depends on
-    the input order (this is inherent to the algorithm); for a fixed order it
-    is fully deterministic.
+    tracks has shape (ntracks, K, ndim), as `resample_tracks` returns, or is a
+    sequence of (K, ndim) arrays. Each track is measured against all centroids
+    at once. The output depends on the input order (this is inherent to the
+    algorithm); for a fixed order it is fully deterministic.
     """
+    if len({np.shape(t) for t in tracks}) > 1:
+        raise ValueError("all tracks must share the same point count and ndim")
     tracks = np.asarray(tracks, dtype=float)
     if len(tracks) == 0:
         raise ValueError("no tracks to cluster")

@@ -267,27 +267,22 @@ def read_velocity_series(path_prefix) -> VelocitySeries:
     return VelocitySeries(grid, time_grid, values)
 
 
-def _float_list(n: int) -> str:
-    return "[" + ",".join(["%r"] * n) + "]"
-
-
 def write_streamlines_jsonl(path, streamlines: list[Streamline]) -> None:
-    """One streamline per line: seed, step size, and the point array.
-
-    Each line holds the bytes of `json.dumps(..., sort_keys=True,
-    separators=(",", ":"))`: the coordinates are finite, and json writes a
-    finite float as its `repr`.
-    """
-    templates, values = [], []
+    """One streamline per line: seed, step size, and the point array."""
+    lines = []
     for sl in streamlines:
-        npoints, ndim = sl.points.shape
-        templates.append('{"points":[' + ",".join([_float_list(ndim)] * npoints)
-                         + '],"seed":' + _float_list(sl.seed.size) + ',"step_size":%r}')
-        values += sl.points.ravel().tolist()
-        values += sl.seed.tolist()
-        values.append(sl.step_size)
-    text = "\n".join(templates) % tuple(values)
-    Path(path).write_text(text + ("\n" if templates else ""))
+        lines.append(
+            json.dumps(
+                {
+                    "seed": sl.seed.tolist(),
+                    "step_size": sl.step_size,
+                    "points": sl.points.tolist(),
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+        )
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_clusters_json(path, cluster_set) -> None:

@@ -1,6 +1,5 @@
 """Independent oracles that the tests check the package against."""
 
-import json
 from typing import Callable, Sequence
 
 import numpy as np
@@ -204,19 +203,6 @@ def per_streamline_pathway_density(streamlines, grid: CellGrid) -> np.ndarray:
     for sl in streamlines:
         counts[np.unique(grid.cells_of_points(sl.points))] += 1
     return counts
-
-
-def json_streamlines_text(streamlines) -> str:
-    """The streamline file written with one `json.dumps` per line."""
-    lines = [
-        json.dumps(
-            {"seed": sl.seed.tolist(), "step_size": sl.step_size, "points": sl.points.tolist()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        for sl in streamlines
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def per_corner_interpolate(

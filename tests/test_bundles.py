@@ -198,9 +198,14 @@ class TestMDF:
         b = np.stack([xs, np.full(12, 0.7)], axis=1)
         assert mdf_distance(a, b) == pytest.approx(0.7)
 
+    def test_point_count_mismatch(self):
+        # tracks of unequal length are refused where they are clustered
+        with pytest.raises(ValueError, match="same point count"):
+            quickbundles([np.zeros((12, 2)), np.zeros((10, 2))], 1.0)
+
     @pytest.mark.parametrize("shape", [(2, 12), (2, 1, 2), (2, 12, 2, 1)])
     def test_refuses_what_is_not_a_track_array(self, shape):
-        # tracks are one (ntracks, K >= 2, ndim) array, so their point counts agree
+        # one array of tracks must be (ntracks, K >= 2, ndim)
         with pytest.raises(ValueError, match="tracks must have shape"):
             quickbundles(np.zeros(shape), 1.0)
 

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from otflow.errors import (
     BadMagicError,
@@ -35,7 +34,6 @@ from otflow.solver import ObservationEntry, ObservationSet, SolverConfig, check_
 from otflow.streamlines import Streamline
 
 from conftest import philox
-from oracles import json_streamlines_text
 
 
 def f4(values):
@@ -306,22 +304,6 @@ class TestStreamlineAndClusterFiles:
         for a, b in zip(got, lines):
             assert np.array_equal(a["points"], b.points)
             assert a["step_size"] == b.step_size
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_streamlines_jsonl_bytes_equal_json_dumps(self, tmp_path_factory, data):
-        # any finite float: signed zeros, subnormals, and both exponent forms of repr
-        number = st.floats(allow_nan=False, allow_infinity=False)
-        ndim = data.draw(st.integers(1, 3))
-        lines = []
-        for _ in range(data.draw(st.integers(0, 4))):
-            npts = data.draw(st.integers(1, 5))
-            pts = np.array(data.draw(st.lists(st.lists(number, min_size=ndim, max_size=ndim),
-                                              min_size=npts, max_size=npts)))
-            lines.append(Streamline(pts[0], pts, data.draw(number)))
-        path = tmp_path_factory.mktemp("jsonl") / "streamlines.jsonl"
-        write_streamlines_jsonl(path, lines)
-        assert path.read_bytes() == json_streamlines_text(lines).encode()
 
     def test_clusters_json_shape(self, tmp_path):
         xs = np.linspace(0, 1, 12)
