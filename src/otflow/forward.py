@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import require
 from .grid import CellGrid, ScalarField, VectorField
-from .operators import advection_interp_matrix, advection_weight_gradients
+from .operators import _deposit_stencil, advection_interp_matrix, advection_weight_gradients
 
 __all__ = [
     "TimeGrid",
@@ -120,10 +120,6 @@ class ImplicitDiffusion:
     """
 
     def __init__(self, grid: CellGrid, sigma: float, dt: float):
-        if sigma < 0:
-            raise ValueError(f"diffusivity must be nonnegative, got {sigma}")
-        if dt <= 0:
-            raise ValueError(f"time step must be positive, got {dt}")
         self.grid = grid
         self.dt = dt
         self.is_identity = sigma == 0.0
@@ -188,20 +184,24 @@ class Sweep:
     all intervals at once.
 
     The deposits S, one per interval, are built from the fields on first use
-    and kept. `push(n, x, inj)` is the linear step x -> D(S_n x + inj), where
-    inj is a velocity perturbation (`jvp`) entering before the solve. D is
-    symmetric, so y -> S_T[n] @ (D y) is the transpose of push in x. S is
-    CSC, so S^T is a CSR view of the same arrays, not a copy; the views are
-    cached because each `.T` builds a new scipy matrix object, and at 32^2
-    that costs twice the product it feeds.
+    and kept. Each interval's deposit stencil is computed once, and both its
+    S and its block of the T_k below are built from it; the stencils are
+    dropped once both are built. `push(n, x, inj)` is the linear step
+    x -> D(S_n x + inj), where inj is a velocity perturbation (`jvp`) entering
+    before the solve. D is symmetric, so y -> S_T[n] @ (D y) is the transpose
+    of push in x. S is CSC, so S^T is a CSR view of the same arrays, not a
+    copy; the views are cached because each `.T` builds a new scipy matrix
+    object, and at 32^2 that costs twice the product it feeds.
 
-    Per axis k, G[k] is one block-diagonal CSC over the intervals (see
-    `advection_weight_gradients`), so `jvp` and its transpose `vjp` make d
-    sparse products per sweep, not d per interval; each block row keeps its
-    order of summation, so the results are those of the interval alone. The
-    blocks are built on first use, so a sweep that only advances (`objective`,
-    a rejected line-search trial) never builds them, and G_k^T are cached CSR
-    views of the same arrays.
+    The velocity derivative is in face form (see `otflow.operators`): per
+    axis k, T[k] is one block-diagonal CSC over the intervals, with half the
+    entries of the weight gradient G_k = Delta_k T_k, and Delta_k and its
+    transpose are slice differences along axis k of the cells of each
+    interval. So `jvp` and its transpose `vjp` make d sparse products per
+    sweep, not d per interval; each block row keeps its order of summation,
+    so the results are those of the interval alone. T is built on first use, so a
+    sweep that only advances (`objective`, a rejected line-search trial)
+    never builds it, and T_T holds the cached CSR views of T_k^T.
 
     The products allocate in the dtype of their inputs, so after `cast` the
     same code runs on float32 frames and directions.
@@ -210,53 +210,80 @@ class Sweep:
     def __init__(self, fields: list[VectorField], diffusion: ImplicitDiffusion):
         self.fields = fields
         self.diffusion = diffusion
+        # an (m, s) array viewed as the cells of each interval, (m, n_{d-1},
+        # .., n_0): axis 0 of the grid varies fastest, so grid axis k is axis
+        # d - k of the view
+        self._cells_shape = (len(fields), *diffusion.grid.dims[::-1])
+
+    @cached_property
+    def _stencils(self):
+        return [_deposit_stencil(v, self.diffusion.dt) for v in self.fields]
 
     @cached_property
     def S(self):
-        return [advection_interp_matrix(v, self.diffusion.dt) for v in self.fields]
+        return [advection_interp_matrix(self.diffusion.grid, st) for st in self._stencils]
 
     @cached_property
     def S_T(self):
         return [S.T for S in self.S]
 
     @cached_property
-    def G(self):
-        return advection_weight_gradients(self.fields, self.diffusion.dt)
+    def T(self):
+        T = advection_weight_gradients(self.diffusion.grid, self._stencils, self.diffusion.dt)
+        self.S  # built before the stencils go: nothing else reads them
+        del self._stencils
+        return T
 
     @cached_property
-    def G_T(self):
-        return [G.T for G in self.G]
+    def T_T(self):
+        return [T.T for T in self.T]
 
     def cast(self, dtype) -> None:
         """Cast this sweep's linearisation, the diffusion solve and each S and
-        G_k, to dtype in place. Each matrix keeps its index arrays and drops
+        T_k, to dtype in place. Each matrix keeps its index arrays and drops
         its old weights before the next is cast, so the two precisions of the
         family are never alive together. The cached transposes go first: they
         are views of the old weights."""
         self.__dict__.pop("S_T", None)
-        self.__dict__.pop("G_T", None)
+        self.__dict__.pop("T_T", None)
         self.diffusion = self.diffusion.astype(dtype)
-        for M in (*self.S, *self.G):
+        for M in (*self.S, *self.T):
             M.data = M.data.astype(dtype)
 
     def push(self, n: int, x: np.ndarray, inj: np.ndarray | None = None) -> np.ndarray:
         rho_star = self.S[n] @ x
         return self.diffusion.apply(rho_star if inj is None else rho_star + inj)
 
+    def _along(self, k: int, part: slice) -> tuple:
+        """Index of `part` along grid axis k of the cells view."""
+        return (slice(None),) * (len(self._cells_shape) - 1 - k) + (part,)
+
     def jvp(self, rho: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Directional derivative of S(v_n) @ rho_n in v_n for every interval n:
-        sum_k G_k (rho * dv_k), rho of shape (m, s), dv (m, d, s)."""
+        sum_k Delta_k T_k (rho * dv_k), rho of shape (m, s), dv (m, d, s)."""
         out = np.zeros_like(rho)
-        for k, G in enumerate(self.G):
-            out += (G @ (rho * dv[:, k]).ravel()).reshape(rho.shape)
+        cells = out.reshape(self._cells_shape)
+        for k, T in enumerate(self.T):
+            upper, lower = self._along(k, slice(1, None)), self._along(k, slice(None, -1))
+            faces = (T @ (rho * dv[:, k]).ravel()).reshape(self._cells_shape)
+            cells -= faces
+            cells[upper] += faces[lower]
         return out
 
     def vjp(self, rho: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Transpose of `jvp` in dv, rho * G_k^T y per row, added into `out`
-        (m, d, s) if given."""
-        out = np.zeros((len(rho), len(self.G_T), rho.shape[1]), rho.dtype) if out is None else out
-        for k, G_T in enumerate(self.G_T):
-            out[:, k] += rho * (G_T @ y.ravel()).reshape(rho.shape)
+        """Transpose of `jvp` in dv, rho * T_k^T Delta_k^T y per row, added
+        into `out` (m, d, s) if given."""
+        out = np.zeros((len(rho), len(self.T_T), rho.shape[1]), rho.dtype) if out is None else out
+        cells = y.reshape(self._cells_shape)
+        faces = np.empty_like(cells)
+        for k, T_T in enumerate(self.T_T):
+            upper, lower = self._along(k, slice(1, None)), self._along(k, slice(None, -1))
+            np.subtract(cells[upper], cells[lower], out=faces[lower])
+            top = self._along(k, slice(-1, None))
+            np.negative(cells[top], out=faces[top])
+            pulled = T_T @ faces.ravel()
+            pulled *= rho.ravel()
+            out[:, k] += pulled.reshape(rho.shape)
         return out
 
 

@@ -11,6 +11,7 @@ strip between the outermost centers and the domain walls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,14 @@ class CellGrid:
         n = self.dims[axis]
         h = self.spacing[axis]
         return (np.arange(n) + 0.5) * h
+
+    @cached_property
+    def cell_index(self) -> np.ndarray:
+        """Index coordinates of every cell center, shape (ndim, cell_count),
+        canonical order, as a read-only float array made once per grid."""
+        index = np.array(np.unravel_index(np.arange(self.cell_count), self.dims, order="F"), float)
+        index.flags.writeable = False
+        return index
 
     def cell_centers(self) -> np.ndarray:
         """All cell-center coordinates, shape (cell_count, ndim), canonical order."""
@@ -147,24 +156,22 @@ class VectorField:
 
 
 def _stencil(grid: CellGrid, coords: np.ndarray):
-    """Multilinear cell-center stencil at index coordinates inside the closed domain.
+    """Multilinear cell-center stencil at index coordinates.
 
     coords has shape (ndim, npoints); along axis k, cell centers sit at the
-    integers and the walls at -0.5 and n_k - 0.5. Returns (base, frac, live),
-    each of the same shape. base[k] is the lower neighbor index along axis k,
-    frac[k] the weight toward base+1 (clipped to [0, 1]), and live[k] is 1.0
-    where frac responds linearly to motion and 0.0 where it is saturated
-    against a wall. An axis with one cell has both corners on cell 0, so its
-    frac and live are pinned to 0.0: the weights stay exact and motion along
-    it changes nothing.
+    integers. A coordinate is first clamped to the outermost centers
+    [0, n_k - 1], which is the constant extrapolation out to the walls.
+    Returns (base, frac), each of the same shape: base[k] is the lower
+    neighbor index along axis k, at most n_k - 2, and frac[k] in [0, 1] the
+    weight toward base+1. An axis with one cell has both corners on cell 0
+    and frac 0.0, so the weights stay exact and motion along it changes
+    nothing.
     """
-    dims = np.asarray(grid.dims)[:, None]
-    base = np.clip(np.floor(coords), 0, np.maximum(dims - 2, 0)).astype(np.int64)
-    raw = coords - base
-    single = dims == 1
-    frac = np.where(single, 0.0, np.clip(raw, 0.0, 1.0))
-    live = ((raw >= 0.0) & (raw <= 1.0) & ~single).astype(float)
-    return base, frac, live
+    top = np.asarray(grid.dims)[:, None] - 1
+    clamped = np.clip(coords, 0, top)
+    # truncation is the floor here, since clamped >= 0
+    base = np.minimum(clamped.astype(np.int64), np.maximum(top - 1, 0))
+    return base, clamped - base
 
 
 def _fold_corners(pairs, combine, start: np.ndarray) -> np.ndarray:
@@ -179,14 +186,18 @@ def _fold_corners(pairs, combine, start: np.ndarray) -> np.ndarray:
     return out
 
 
-def _corner_cells(grid: CellGrid, base: np.ndarray) -> np.ndarray:
-    """Flat indices of the 2^d stencil corners of each point, shape (2^d, npoints).
-
-    An axis with one cell adds a zero step, so both its corners are cell 0.
-    """
+def _corner_steps(grid: CellGrid) -> list[tuple[int, int]]:
+    """Per axis, the flat-index steps (0, stride) to a point's lower and
+    upper stencil corner. An axis with one cell has a zero upper step, so
+    both its corners are cell 0."""
     strides = np.cumprod((1,) + grid.dims[:-1])
-    steps = [(0, stride * (n > 1)) for n, stride in zip(grid.dims, strides)]
-    return _fold_corners(steps, np.add, np.ravel_multi_index(base, grid.dims, order="F"))
+    return [(0, stride * (n > 1)) for n, stride in zip(grid.dims, strides)]
+
+
+def _corner_cells(grid: CellGrid, base: np.ndarray) -> np.ndarray:
+    """Flat indices of the 2^d stencil corners of each point, shape (2^d, npoints)."""
+    lower = np.ravel_multi_index(base, grid.dims, order="F")
+    return _fold_corners(_corner_steps(grid), np.add, lower)
 
 
 def interpolate_components(grid: CellGrid, components: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -195,7 +206,7 @@ def interpolate_components(grid: CellGrid, components: np.ndarray, positions: np
     components has shape (ncomp, cell_count); positions (npoints, ndim) and must
     lie inside the closed domain (clamp first if unsure). Returns (npoints, ncomp).
     """
-    base, frac, _ = _stencil(grid, positions.T / np.asarray(grid.spacing)[:, None] - 0.5)
+    base, frac = _stencil(grid, positions.T / np.asarray(grid.spacing)[:, None] - 0.5)
     weights = _fold_corners(zip(1.0 - frac, frac), np.multiply, np.ones(positions.shape[0]))
     terms = weights * components[:, _corner_cells(grid, base)]  # (ncomp, 2^d, npoints)
     out = np.zeros((positions.shape[0], components.shape[0]))

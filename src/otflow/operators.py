@@ -6,13 +6,22 @@ multilinear weights. Columns of the deposit matrix S therefore sum to exactly
 one and no mass can leave the grid (displaced positions are clamped to the
 domain walls).
 
-S and its weight gradients G_k are ``scipy.sparse.csc_matrix`` on one
-pattern: column j lists the 2^d corner cells of particle j in ascending row
-order (an axis with one cell lists its cell twice, the second time with weight
-zero), and weights that vanish at the walls or on a cell center stay as
-explicit zeros. S is built per interval; each G_k spans a whole sweep, block n
-of its diagonal holding interval n on that pattern offset by n * cell_count.
-The transposes S^T and G_k^T are CSR views of the same arrays.
+Both builders take the stencil of an interval (`_deposit_stencil`), which a
+sweep computes once and shares between them. S is a ``scipy.sparse.csc_matrix``
+whose column j lists the 2^d corner cells of particle j in ascending row order
+(an axis with one cell lists its cell twice, the second time with weight
+zero); weights that vanish at the walls or on a cell center stay as explicit
+zeros.
+
+The velocity derivative is kept in face form. In column j of the weight
+gradient G_k = dS/dv_k, the two corners that differ only along axis k carry
+-P and +P, with P = (dt/h_k) live_k prod_{a != k} w_a the weight of the other
+axes. So G_k = Delta_k T_k: T_k deposits P onto the lower of the two corners,
+2^(d-1) entries per column, and Delta_k is the difference (Delta_k f)[i] =
+f[i - e_k] - f[i] along axis k, whose transpose is (Delta_k^T y)[i] =
+y[i + e_k] - y[i]. Each T_k spans a whole sweep: block n of its diagonal
+holds interval n, its rows offset by n * cell_count. The transposes S^T and
+T_k^T are CSR views of the same arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import VectorField, _corner_cells, _fold_corners, _stencil
+from .grid import CellGrid, VectorField, _corner_steps, _fold_corners, _stencil
 
 if TYPE_CHECKING:
     import scipy.sparse as sparse
@@ -33,31 +42,33 @@ __all__ = [
 
 
 def _deposit_stencil(v: VectorField, dt: float):
-    """Stencil of the particles pushed from the cell centers, clamped to the walls.
+    """Stencil (lower, frac, live) of the particles pushed from the cell
+    centers: lower is the flat index of each particle's lowest corner cell,
+    frac as `otflow.grid._stencil` gives it, and live[k] is True where
+    frac[k] responds linearly to motion, False where the particle is clamped
+    against a wall or axis k has one cell.
 
     Working with cell_index + dt*v/h (instead of dividing physical positions
     by the spacing) keeps a zero displacement exactly on the cell center, so
     S(0) is exactly the identity.
     """
     grid = v.grid
-    index = np.array(np.unravel_index(np.arange(grid.cell_count), grid.dims, order="F"))
-    coords = index + (dt / np.asarray(grid.spacing))[:, None] * v.components
-    walls = np.asarray(grid.dims)[:, None] - 0.5
-    return _stencil(grid, np.clip(coords, -0.5, walls))
+    coords = grid.cell_index + (dt / np.asarray(grid.spacing))[:, None] * v.components
+    base, frac = _stencil(grid, coords)
+    top = np.asarray(grid.dims)[:, None] - 1
+    live = (coords >= 0) & (coords <= top) & (top > 0)
+    return np.ravel_multi_index(base, grid.dims, order="F"), frac, live
 
 
-def _deposit_matrices(data: list[np.ndarray], indices: np.ndarray) -> list[sparse.csc_matrix]:
-    """Block-diagonal CSC matrices on one deposit pattern, one per array of
-    `data`, each of the shape (m, s, 2^d) of the `indices` they share with one
-    `indptr`: block n holds the corner rows of the s particles of interval n,
-    offset by n * s (see the module docstring)."""
+def _deposit_matrix(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sparse.csc_matrix:
+    """Block-diagonal CSC matrix of `data` and `indices`, both of shape
+    (m, s, c): block n holds the c rows of each of the s particles of
+    interval n, offset by n * s (see the module docstring)."""
     # imported here: it is half of a cold start, and only the solves need it
     import scipy.sparse as sparse
 
     size = indices.shape[0] * indices.shape[1]
-    indptr = np.arange(0, indices.size + 1, indices.shape[2], dtype=indices.dtype)
-    flat = indices.ravel()
-    return [sparse.csc_matrix((d.ravel(), flat, indptr), shape=(size, size)) for d in data]
+    return sparse.csc_matrix((data.ravel(), indices.ravel(), indptr), shape=(size, size))
 
 
 def _index_dtype(nnz: int) -> type:
@@ -65,43 +76,55 @@ def _index_dtype(nnz: int) -> type:
     return np.int32 if nnz < 2**31 else np.int64
 
 
-def advection_interp_matrix(v: VectorField, dt: float) -> sparse.csc_matrix:
-    """Push-and-deposit matrix S of one conservative advection step.
+def _indptr(m: int, s: int, c: int, dtype) -> np.ndarray:
+    return np.arange(0, m * s * c + 1, c, dtype=dtype)
+
+
+def advection_interp_matrix(grid: CellGrid, stencil) -> sparse.csc_matrix:
+    """Push-and-deposit matrix S of one conservative advection step, from the
+    interval's `_deposit_stencil`.
 
     Column j holds the deposit weights of the particle launched from cell j;
     every column sums to one and entries lie in [0, 1].
     """
-    base, frac, _ = _deposit_stencil(v, dt)
-    weights = _fold_corners(zip(1.0 - frac, frac), np.multiply, np.ones(v.grid.cell_count))
-    rows = _corner_cells(v.grid, base)
-    return _deposit_matrices([weights.T[None]], rows.T.astype(_index_dtype(rows.size))[None])[0]
-
-
-def advection_weight_gradients(fields: Sequence[VectorField], dt: float) -> list[sparse.csc_matrix]:
-    """Derivative of the deposit weights of a sweep with respect to each velocity component.
-
-    `fields` holds the velocity v_n of each of the m intervals of a sweep.
-    Returns one block-diagonal matrix G_k per axis, of order m * s, whose
-    block n is G_k(v_n)[i, j] = d S(v_n)[i, j] / d v_n,k[j], holding the
-    deposit-cell assignment of each particle fixed (weights are piecewise
-    linear in the displacement; at a wall the weight saturates and the
-    derivative is zero). The directional derivative of S(v_n) @ rho_n in
-    direction dv_n is then block n of sum_k G_k @ (rho * dv_k), with rho and
-    dv_k stacked over the intervals. The weights are written straight into
-    the blocks, so no per-interval copy is ever made.
-    """
-    grid = fields[0].grid
+    lower, frac, _ = stencil
     s, corners = grid.cell_count, 2**grid.ndim
-    indices = np.empty((len(fields), s, corners), dtype=_index_dtype(len(fields) * s * corners))
+    weights = _fold_corners(zip(1.0 - frac, frac), np.multiply, np.ones(s))
+    rows = _fold_corners(_corner_steps(grid), np.add, lower).T.astype(_index_dtype(s * corners))
+    return _deposit_matrix(weights.T[None], rows[None], _indptr(1, s, corners, rows.dtype))
+
+
+def advection_weight_gradients(
+    grid: CellGrid, stencils: Sequence, dt: float
+) -> list[sparse.csc_matrix]:
+    """The face parts T_k of the weight gradients of a sweep, one per axis.
+
+    `stencils` holds the `_deposit_stencil` of each of the m intervals.
+    T_k is block-diagonal of order m * s; block n deposits, for each particle
+    j, P = (dt/h_k) live_k prod_{a != k} w_a onto the 2^(d-1) corners at the
+    lower end along axis k, so that Delta_k T_k (see the module docstring)
+    is G_k(v_n)[i, j] = d S(v_n)[i, j] / d v_n,k[j], holding the deposit-cell
+    assignment of each particle fixed (weights are piecewise linear in the
+    displacement; at a wall the weight saturates and the derivative is
+    zero). The directional derivative of S(v_n) @ rho_n in direction dv_n is
+    then block n of sum_k Delta_k T_k @ (rho * dv_k), with rho and dv_k
+    stacked over the intervals. Rows and weights are written straight into
+    the block arrays, so no per-interval copy is ever made.
+    """
+    m, s, corners = len(stencils), grid.cell_count, 2 ** (grid.ndim - 1)
+    dtype = _index_dtype(m * s * corners)
+    steps = _corner_steps(grid)
     # one array per axis: scipy copies a data array that is a view of a larger one
-    data = [np.empty((len(fields), s, corners)) for _ in range(grid.ndim)]
-    for n, v in enumerate(fields):
-        base, frac, live = _deposit_stencil(v, dt)
-        np.add(_corner_cells(grid, base).T, n * s, out=indices[n], casting="unsafe")
+    indices = [np.empty((m, s, corners), dtype) for _ in range(grid.ndim)]
+    data = [np.empty((m, s, corners)) for _ in range(grid.ndim)]
+    for n, (lower, frac, live) in enumerate(stencils):
+        block_lower = lower + n * s
         factors = list(zip(1.0 - frac, frac))
         for k in range(grid.ndim):
-            # axis k contributes the sign of d frac_k, every other axis its weight
-            signed = factors[:k] + [(-1.0, 1.0)] + factors[k + 1 :]
-            scale = (dt / grid.spacing[k]) * live[k]
-            np.multiply(_fold_corners(signed, np.multiply, np.ones(s)), scale, out=data[k][n].T)
-    return _deposit_matrices(data, indices)
+            # every axis but k spans its two corners; axis k keeps the lower
+            rows = _fold_corners(steps[:k] + steps[k + 1 :], np.add, block_lower)
+            np.copyto(indices[k][n].T, rows, casting="unsafe")
+            weights = _fold_corners(factors[:k] + factors[k + 1 :], np.multiply, np.ones(s))
+            np.multiply(weights, (dt / grid.spacing[k]) * live[k], out=data[k][n].T)
+    indptr = _indptr(m, s, corners, dtype)
+    return [_deposit_matrix(d, i, indptr) for d, i in zip(data, indices)]

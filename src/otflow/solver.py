@@ -287,8 +287,9 @@ def _gn_step(
 
     Stops early on the relative target for the unpreconditioned residual or
     on a flat/singular direction; whatever iterate is reached is still a
-    descent direction. x, r, z and p are updated in place, and one scratch
-    array takes the products that are summed and the steps that are added.
+    descent direction. Each of the four inner products is one BLAS dot
+    (`np.vdot`), with no temporary. x, r, z and p are updated in place, and
+    one scratch array takes the steps that are added.
     """
     r = -grad
     bnorm = float(np.linalg.norm(r))
@@ -296,19 +297,19 @@ def _gn_step(
     z = r / diag
     p = z.copy()
     scratch = np.empty_like(r)
-    rz = float(np.multiply(r, z, out=scratch).sum())
+    rz = float(np.vdot(r, z))
     for _ in range(GN_CG_MAX_ITERS):
         hp = hess_apply(p)
-        curv = float(np.multiply(p, hp, out=scratch).sum())
-        if curv <= 1e-16 * float(np.multiply(p, p, out=scratch).sum()):
+        curv = float(np.vdot(p, hp))
+        if curv <= 1e-16 * float(np.vdot(p, p)):
             break
         a = rz / curv
         x += np.multiply(p, a, out=scratch)
         r -= np.multiply(hp, a, out=scratch)
-        if np.sqrt(float(np.multiply(r, r, out=scratch).sum())) <= GN_CG_TOLERANCE * bnorm:
+        if np.sqrt(float(np.vdot(r, r))) <= GN_CG_TOLERANCE * bnorm:
             break
         np.divide(r, diag, out=z)
-        rz_new = float(np.multiply(r, z, out=scratch).sum())
+        rz_new = float(np.vdot(r, z))
         p *= rz_new / rz
         p += z
         rz = rz_new

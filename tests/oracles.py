@@ -8,7 +8,7 @@ import scipy.sparse as sparse
 from otflow.bundles import Cluster, ClusterSet
 from otflow.forward import ImplicitDiffusion, Sweep, VelocitySeries
 from otflow.grid import CellGrid, _corner_cells, _fold_corners, _stencil
-from otflow.operators import advection_weight_gradients
+from otflow.operators import _deposit_stencil, advection_weight_gradients
 from otflow.solver import GN_CG_MAX_ITERS, GN_CG_TOLERANCE
 
 
@@ -59,23 +59,37 @@ def tensordot_diffusion(diffusion: ImplicitDiffusion, rhs: np.ndarray) -> np.nda
     return x.ravel(order="F")
 
 
-def _interval_gradients(sweep: Sweep, dtype) -> list[list[sparse.csc_matrix]]:
-    """The G_k of each interval on its own, as one-interval sweeps build them,
-    cast to the dtype the sweep runs in."""
+def _interval_faces(sweep: Sweep, dtype) -> list[list[sparse.csc_matrix]]:
+    """The T_k of each interval on its own, as one-interval sweeps build them
+    from the interval's stencil, cast to the dtype the sweep runs in."""
+    grid, dt = sweep.diffusion.grid, sweep.diffusion.dt
     return [
-        [G.astype(dtype) for G in advection_weight_gradients([v], sweep.diffusion.dt)]
+        [T.astype(dtype) for T in advection_weight_gradients(grid, [_deposit_stencil(v, dt)], dt)]
         for v in sweep.fields
     ]
 
 
+def _axis_slices(grid: CellGrid, k: int) -> tuple[tuple, tuple, tuple]:
+    """The cells above the first, below the last and the last along axis k
+    of one interval's cells, viewed as (n_{d-1}, .., n_0)."""
+    lead = (slice(None),) * (grid.ndim - 1 - k)
+    return lead + (slice(1, None),), lead + (slice(None, -1),), lead + (slice(-1, None),)
+
+
 def interval_linearized_sweep(sweep: Sweep, frames: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """`linearized_sweep` interval by interval: each interval's velocity
-    derivative is d sparse products of its own G_k, made inside the recurrence."""
+    derivative is d sparse products of its own T_k, each followed by the
+    difference Delta_k along axis k, made inside the recurrence."""
+    grid = sweep.diffusion.grid
     drho = np.zeros_like(frames)
-    for n, grads in enumerate(_interval_gradients(sweep, frames.dtype)):
+    for n, faces in enumerate(_interval_faces(sweep, frames.dtype)):
         inj = np.zeros_like(frames[n])
-        for G, dv_k in zip(grads, dv[n]):
-            inj += G @ (frames[n] * dv_k)
+        cells = inj.reshape(grid.dims[::-1])
+        for k, (T, dv_k) in enumerate(zip(faces, dv[n])):
+            upper, lower, _ = _axis_slices(grid, k)
+            f = (T @ (frames[n] * dv_k)).reshape(grid.dims[::-1])
+            cells -= f
+            cells[upper] += f[lower]
         drho[n + 1] = sweep.push(n, drho[n], inj)
     return drho
 
@@ -84,16 +98,22 @@ def interval_adjoint_sweep(
     sweep: Sweep, frames: np.ndarray, sources: Sequence[dict], out: np.ndarray
 ) -> np.ndarray:
     """`adjoint_sweep` interval by interval: each interval's sensitivities are
-    added from its own G_k^T as soon as its adjoint is solved."""
-    grads = _interval_gradients(sweep, frames.dtype)
+    added from Delta_k^T and its own T_k^T as soon as its adjoint is solved."""
+    grid = sweep.diffusion.grid
+    faces = _interval_faces(sweep, frames.dtype)
     lam = None
-    for n in range(len(grads) - 1, -1, -1):
+    for n in range(len(faces) - 1, -1, -1):
         for source in sources:
             if n + 1 in source:
                 lam = source[n + 1] if lam is None else lam + source[n + 1]
         mu = sweep.diffusion.apply(np.zeros_like(frames[n]) if lam is None else lam)
-        for k, G in enumerate(grads[n]):
-            out[n, k] += frames[n] * (G.T @ mu)
+        cells = mu.reshape(grid.dims[::-1])
+        for k, T in enumerate(faces[n]):
+            upper, lower, top = _axis_slices(grid, k)
+            diff = np.empty_like(cells)
+            diff[lower] = cells[upper] - cells[lower]
+            diff[top] = -cells[top]
+            out[n, k] += frames[n] * (T.T @ diff.ravel())
         if n > 0:
             lam = sweep.S[n].T @ mu
     return out
@@ -103,23 +123,23 @@ def unpreconditioned_gn_step(
     hess_apply: Callable[[np.ndarray], np.ndarray], grad: np.ndarray
 ) -> np.ndarray:
     """Truncated CG on H p = -g with no preconditioner, at the solver's
-    relative-residual target and iteration cap, updating in place as the
-    solver does."""
+    relative-residual target and iteration cap, with the solver's one-dot
+    reductions and in-place updates."""
     r = -grad
     bnorm = float(np.linalg.norm(r))
     x = np.zeros_like(r)
     p = r.copy()
     scratch = np.empty_like(r)
-    rs = float(np.multiply(r, r, out=scratch).sum())
+    rs = float(np.vdot(r, r))
     for _ in range(GN_CG_MAX_ITERS):
         hp = hess_apply(p)
-        curv = float(np.multiply(p, hp, out=scratch).sum())
-        if curv <= 1e-16 * float(np.multiply(p, p, out=scratch).sum()):
+        curv = float(np.vdot(p, hp))
+        if curv <= 1e-16 * float(np.vdot(p, p)):
             break
         a = rs / curv
         x += np.multiply(p, a, out=scratch)
         r -= np.multiply(hp, a, out=scratch)
-        rs_new = float(np.multiply(r, r, out=scratch).sum())
+        rs_new = float(np.vdot(r, r))
         if np.sqrt(rs_new) <= GN_CG_TOLERANCE * bnorm:
             break
         p *= rs_new / rs
@@ -210,7 +230,7 @@ def per_corner_interpolate(
 ) -> np.ndarray:
     """Multilinear interpolation with one gather per stencil corner, added
     with the last axis fastest."""
-    base, frac, _ = _stencil(grid, positions.T / np.asarray(grid.spacing)[:, None] - 0.5)
+    base, frac = _stencil(grid, positions.T / np.asarray(grid.spacing)[:, None] - 0.5)
     weights = _fold_corners(zip(1.0 - frac, frac), np.multiply, np.ones(positions.shape[0]))
     cells = _corner_cells(grid, base)
     out = np.zeros((positions.shape[0], components.shape[0]))

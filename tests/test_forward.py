@@ -225,7 +225,7 @@ class TestSplitStep:
         assert x @ (sweep.S_T[0] @ D(y)) == pytest.approx(sweep.push(0, x) @ y, rel=1e-12)
         assert (dv * sweep.vjp(rho, y)).sum() == pytest.approx(sweep.jvp(rho, dv)[0] @ y, rel=1e-12)
         # the transposes are views of the matrices, not copies
-        for M, M_T in zip([*sweep.S, *sweep.G], [*sweep.S_T, *sweep.G_T], strict=True):
+        for M, M_T in zip([*sweep.S, *sweep.T], [*sweep.S_T, *sweep.T_T], strict=True):
             assert np.shares_memory(M_T.data, M.data)
 
     @pytest.mark.parametrize("seed,sigma", [(0, 0.0), (1, 0.01)])

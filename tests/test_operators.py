@@ -5,12 +5,34 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
-from otflow.forward import ImplicitDiffusion, Sweep
+import otflow.forward
+from otflow.forward import ImplicitDiffusion, Sweep, adjoint_sweep, forward_frames, linearized_sweep
 from otflow.grid import CellGrid, ScalarField, VectorField
 from otflow.operators import _deposit_stencil, advection_interp_matrix, advection_weight_gradients
 
 from oracles import assemble_diffusion_operator
 from conftest import philox
+
+
+def deposit(v, dt):
+    """S of one interval, from its own stencil."""
+    return advection_interp_matrix(v.grid, _deposit_stencil(v, dt))
+
+
+def face_gradients(v, dt):
+    """The T_k of one interval, from its own stencil."""
+    return advection_weight_gradients(v.grid, [_deposit_stencil(v, dt)], dt)
+
+
+def written_out(grid, T, k):
+    """Delta_k T_k as a dense matrix: row i - e_k of T_k minus row i, where the
+    row before the first along axis k counts 0."""
+    rows = T.toarray().reshape(*grid.dims[::-1], -1)
+    lead = (slice(None),) * (grid.ndim - 1 - k)
+    G = -rows
+    G[lead + (slice(1, None),)] += rows[lead + (slice(None, -1),)]
+    return G.reshape(grid.cell_count, -1)
+
 
 grids = st.sampled_from(
     [([7], [0.5]), ([4, 5], [0.5, 0.25]), ([3, 4, 3], [0.3, 0.25, 0.5]), ([1, 6], [1.0, 0.2])]
@@ -54,12 +76,12 @@ class TestDiffusionOperator:
 class TestDepositMatrix:
     def test_zero_velocity_is_identity(self):
         g = CellGrid([4, 3], [1.0, 0.5])
-        S = advection_interp_matrix(VectorField(g, np.zeros((2, g.cell_count))), 0.7)
+        S = deposit(VectorField(g, np.zeros((2, g.cell_count))), 0.7)
         np.testing.assert_allclose(S.toarray(), np.eye(g.cell_count))
 
     def test_1d_half_cell_split(self):
         g = CellGrid([4], [1.0])
-        S = advection_interp_matrix(VectorField(g, np.full((1, 4), 0.5)), 1.0)
+        S = deposit(VectorField(g, np.full((1, 4), 0.5)), 1.0)
         np.testing.assert_allclose(S @ np.array([0.0, 1.0, 0.0, 0.0]), [0, 0.5, 0.5, 0])
 
     @settings(max_examples=20, deadline=None)
@@ -68,7 +90,7 @@ class TestDepositMatrix:
         grid = CellGrid(*geom)
         rng = philox(seed)
         v = VectorField(grid, rng.uniform(-1.5, 1.5, (grid.ndim, grid.cell_count)))
-        S = advection_interp_matrix(v, dt)
+        S = deposit(v, dt)
         colsums = np.asarray(S.sum(axis=0)).ravel()
         np.testing.assert_allclose(colsums, 1.0, atol=1e-14)
         assert S.data.min() >= 0.0
@@ -77,7 +99,7 @@ class TestDepositMatrix:
     def test_outflow_clamps_to_boundary_cell(self):
         # a particle pushed past the wall deposits everything in the last cell
         g = CellGrid([4], [1.0])
-        S = advection_interp_matrix(VectorField(g, np.full((1, 4), 10.0)), 1.0)
+        S = deposit(VectorField(g, np.full((1, 4), 10.0)), 1.0)
         out = S @ np.array([0.25, 0.25, 0.25, 0.25])
         np.testing.assert_allclose(out, [0, 0, 0, 1.0])
 
@@ -89,8 +111,8 @@ class TestDepositMatrix:
         vel = rng.uniform(-1.0, 1.0, (3, thick.cell_count))
         vel[1] = rng.uniform(0.2, 1.0, thick.cell_count)  # every particle leaves its center
         x = rng.uniform(0.0, 1.0, thick.cell_count)
-        S_thick = advection_interp_matrix(VectorField(thick, vel), 0.3)
-        S_flat = advection_interp_matrix(VectorField(flat, vel[[0, 2]]), 0.3)
+        S_thick = deposit(VectorField(thick, vel), 0.3)
+        S_flat = deposit(VectorField(flat, vel[[0, 2]]), 0.3)
         assert np.array_equal(S_thick @ x, S_flat @ x)
 
 
@@ -110,7 +132,8 @@ def _corner_weight(frac, offsets):
 def _reference_deposit(grid, v, dt):
     """The COO -> canonical CSR assembly of S and the G_k that the shared CSC
     pattern replaced, with the transposes copied to CSR as the step kept them."""
-    base, frac, live = _deposit_stencil(v, dt)
+    lower, frac, live = _deposit_stencil(v, dt)
+    base = np.unravel_index(lower, grid.dims, order="F")
     s = grid.cell_count
     corners = list(product((0, 1), repeat=grid.ndim))
 
@@ -140,7 +163,8 @@ def _reference_deposit(grid, v, dt):
 
 class TestDepositPattern:
     @pytest.mark.parametrize(
-        "dims, spacing", [([9, 7], [0.1, 0.2]), ([6, 5, 4], [0.2, 0.25, 0.3])]
+        "dims, spacing",
+        [([9, 7], [0.1, 0.2]), ([6, 5, 4], [0.2, 0.25, 0.3]), ([4, 1, 6], [0.25, 0.5, 0.2])],
     )
     def test_products_match_csr_assembly_bitwise(self, dims, spacing):
         grid = CellGrid(dims, spacing)
@@ -150,18 +174,17 @@ class TestDepositPattern:
         dt = 0.5
         x = rng.standard_normal(grid.cell_count)
         y = rng.standard_normal(grid.cell_count)
-        S = advection_interp_matrix(v, dt)
-        grads = advection_weight_gradients([v], dt)
+        S = deposit(v, dt)
+        faces = face_gradients(v, dt)
         S_ref, grads_ref = _reference_deposit(grid, v, dt)
         assert np.array_equal(S @ x, S_ref @ x)
         assert np.array_equal(S.T @ y, S_ref.T.tocsr() @ y)
         assert np.shares_memory(S.T.data, S.data)
         assert np.shares_memory(S.T.indices, S.indices)
-        for G, G_ref in zip(grads, grads_ref, strict=True):
-            assert np.array_equal(G @ x, G_ref @ x)
-            assert np.array_equal(G.T @ y, G_ref.T.tocsr() @ y)
-            assert np.array_equal(G.indices, S.indices)
-            assert np.shares_memory(G.indices, grads[0].indices)
+        for k, (T, G_ref) in enumerate(zip(faces, grads_ref, strict=True)):
+            # half of G_k's entries: the lower corner along k of each pair
+            assert T.nnz == grid.cell_count * 2 ** (grid.ndim - 1)
+            assert np.array_equal(written_out(grid, T, k), G_ref.toarray())
 
 
 def _one_step_jvp(v, dt, rho, dv):
@@ -182,9 +205,9 @@ class TestWeightGradients:
         # particle sits mid-way between two centers: dw/d(displacement) = -1/h, +1/h
         g = CellGrid([4], [2.0])
         v = VectorField(g, np.array([[0.0, 1.0, 0.0, 0.0]]))  # cell 1 lands mid-cell
-        G = advection_weight_gradients([v], 1.0)[0]
-        col = G.toarray()[:, 1]
-        np.testing.assert_allclose(col, [0, -0.5, 0.5, 0])
+        T = face_gradients(v, 1.0)[0]
+        np.testing.assert_allclose(T.toarray()[:, 1], [0, 0.5, 0, 0])
+        np.testing.assert_allclose(written_out(g, T, 0)[:, 1], [0, -0.5, 0.5, 0])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_forward_difference(self, seed):
@@ -196,18 +219,58 @@ class TestWeightGradients:
         rho = ScalarField(g, rng.uniform(0.5, 1.5, g.cell_count))
         dt = 0.25
         eps = 1e-6
-        S0 = advection_interp_matrix(v, dt)
-        S1 = advection_interp_matrix(VectorField(g, v.components + eps * dv.components), dt)
+        S0 = deposit(v, dt)
+        S1 = deposit(VectorField(g, v.components + eps * dv.components), dt)
         fd = (S1 @ rho.values - S0 @ rho.values) / eps
         got = _one_step_jvp(v, dt, rho.values, dv.components)
         np.testing.assert_allclose(got, fd, atol=1e-6 * np.abs(fd).max())
 
     def test_adjoint_identity(self):
-        g = CellGrid([5, 4], [0.5, 0.5])
-        rng = philox(9)
-        v = VectorField(g, 0.08 * rng.standard_normal((2, g.cell_count)))
-        grads = advection_weight_gradients([v], 0.3)
-        x = rng.standard_normal(g.cell_count)
-        y = rng.standard_normal(g.cell_count)
-        for G in grads:
-            assert y @ (G @ x) == pytest.approx((G.T @ y) @ x, rel=1e-12)
+        # float32 as the inner CG runs it, float64 as the gradient does
+        for dims, (dtype, rel) in product(
+            [(5, 4), (4, 1, 6), (6, 5, 4)], [(np.float64, 1e-12), (np.float32, 1e-5)]
+        ):
+            g = CellGrid(list(dims), [1.0 / n for n in dims])
+            rng = philox(9)
+            steps = 3
+            # displacements of up to 1.5 cells push many particles past the walls
+            cells = rng.uniform(-1.5, 1.5, (steps, g.ndim, g.cell_count))
+            v = cells * steps / np.asarray(dims)[:, None]
+            frames, sweep = forward_frames(v, rng.uniform(0.0, 1.0, g.cell_count),
+                                           ImplicitDiffusion(g, 0.0, 1.0 / steps))
+            sweep.cast(dtype)
+            rho = frames[:-1].astype(dtype)
+            dv = rng.standard_normal(v.shape).astype(dtype)
+            y = rng.standard_normal(rho.shape).astype(dtype)
+            jvp, vjp = sweep.jvp(rho, dv), sweep.vjp(rho, y)
+            assert jvp.dtype == vjp.dtype == dtype
+            got = float((vjp.astype(float) * dv).sum())
+            assert got == pytest.approx(float((jvp.astype(float) * y).sum()), rel=rel)
+
+
+class TestSharedStencil:
+    @pytest.mark.parametrize("dims", [(12, 10), (6, 5, 4)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("faces_first", [False, True], ids=["S-first", "T-first"])
+    def test_one_stencil_per_interval(self, monkeypatch, dims, faces_first):
+        g = CellGrid(list(dims), [1.0 / n for n in dims])
+        steps = 4
+        calls = []
+        stencil = otflow.forward._deposit_stencil
+        monkeypatch.setattr(otflow.forward, "_deposit_stencil",
+                            lambda *args: calls.append(args) or stencil(*args))
+        rng = philox(3)
+        v = 0.3 * rng.standard_normal((steps, g.ndim, g.cell_count))
+        diffusion = ImplicitDiffusion(g, 0.05, 1.0 / steps)
+        if faces_first:
+            # a sweep whose derivative is built before any deposit
+            sweep = Sweep([VectorField(g, v_n) for v_n in v], diffusion)
+            frames = np.tile(rng.uniform(0.0, 1.0, g.cell_count), (steps + 1, 1))
+            sweep.jvp(frames[:-1], v)
+            sweep.push(0, frames[0])
+        else:
+            frames, sweep = forward_frames(v, rng.uniform(0.0, 1.0, g.cell_count), diffusion)
+        linearized_sweep(sweep, frames, v)
+        adjoint_sweep(sweep, frames, ({steps: frames[-1]},), np.zeros_like(v))
+        sweep.cast(np.float32)
+        assert len(calls) == steps
+        assert "_stencils" not in sweep.__dict__

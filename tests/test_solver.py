@@ -258,7 +258,7 @@ def _linearisation(dims, sigma, steps=3):
     grid = rho0.grid
     v = 0.2 * philox(14).standard_normal((steps, grid.ndim, grid.cell_count))
     frames, sweep = forward_frames(v, rho0.values, ImplicitDiffusion(grid, sigma, 1.0 / steps))
-    sweep.G
+    sweep.T
     return frames, sweep, _pair_obs(rho0, target, steps), config.alpha
 
 
@@ -278,19 +278,19 @@ class TestSinglePrecisionProduct:
     @cases
     def test_float32_operands_stay_float32(self, monkeypatch, dims, sigma):
         frames, sweep, obs, alpha = _linearisation(dims, sigma)
-        matrices = [*sweep.S, *sweep.G]
+        matrices = [*sweep.S, *sweep.T]
         index_arrays = [(M.indices, M.indptr) for M in matrices]
         frames32, sweep32, energy = self._cast(frames, sweep)
         # each matrix is cast in place and keeps its own index arrays
         for M, M32, (indices, indptr) in zip(
-            matrices, [*sweep32.S, *sweep32.G], index_arrays, strict=True
+            matrices, [*sweep32.S, *sweep32.T], index_arrays, strict=True
         ):
             assert M32 is M
             assert M32.dtype == np.float32
             assert M32.indices is indices
             assert M32.indptr is indptr
         # the cached transposes are views of the cast weights, not the old ones
-        assert {M.dtype for M in (*sweep32.S_T, *sweep32.G_T)} == {np.dtype(np.float32)}
+        assert {M.dtype for M in (*sweep32.S_T, *sweep32.T_T)} == {np.dtype(np.float32)}
         diffusion = sweep32.diffusion
         if sigma > 0:
             assert {C.dtype for C in diffusion.bases + diffusion.bases_T} == {np.dtype(np.float32)}
@@ -647,7 +647,7 @@ class TestSolve:
             return frames, sweep
 
         def sweep_cast(sweep, dtype):
-            for M in (*sweep.S, *sweep.G):
+            for M in (*sweep.S, *sweep.T):
                 weights.extend(weakref.ref(a) for a in (M.data, M.data.base)
                                if isinstance(a, np.ndarray))
             cast.append(weakref.ref(sweep))
@@ -662,7 +662,7 @@ class TestSolve:
             seen.append((
                 all(ref() is None for ref in weights),
                 len(alive) == 1 and alive[0] is swept[-1]() is cast[-1](),
-                {M.dtype for M in (*alive[0].S, *alive[0].G)} == {np.dtype(np.float32)},
+                {M.dtype for M in (*alive[0].S, *alive[0].T)} == {np.dtype(np.float32)},
             ))
             del alive
             return cg(hess_apply, grad, diag)
