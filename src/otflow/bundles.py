@@ -4,7 +4,9 @@ Tracks are first resampled to a fixed number of equidistant arc-length points,
 then clustered in one pass under the minimum average direct-flip (MDF)
 distance: a track joins the nearest centroid within the threshold (lowest
 cluster index on ties) or founds a new cluster. Centroids are running means of
-their members, each member flip-aligned to the centroid when it joins.
+their members, each member flip-aligned to the centroid when it joins. The
+point count, threshold and minimum cluster size are taken as given:
+`RunConfig` checks them.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ def resample_tracks(streamlines: Sequence[Streamline], K: int) -> np.ndarray:
     padded to the longest and resampled together, each row through the same
     floating-point operations as a track resampled on its own.
     """
-    if K < 2:
-        raise ValueError(f"need at least 2 resample points, got {K}")
     if not streamlines:
         raise ValueError("no tracks to resample")
     npoints = np.array([len(sl.points) for sl in streamlines])
@@ -102,8 +102,6 @@ def quickbundles(tracks, threshold: float) -> ClusterSet:
     tracks = np.asarray(tracks, dtype=float)
     if len(tracks) == 0:
         raise ValueError("no tracks to cluster")
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
     if tracks.ndim != 3 or tracks.shape[1] < 2:
         raise ValueError(f"tracks must have shape (ntracks, K >= 2, ndim), got {tracks.shape}")
     # each track as it is and reversed, for the direct and flipped distances
@@ -136,8 +134,6 @@ def quickbundles(tracks, threshold: float) -> ClusterSet:
 
 def significant_clusters(cs: ClusterSet, min_size: int) -> ClusterSet:
     """Keep clusters with at least min_size members, preserving order."""
-    if min_size < 1:
-        raise ValueError(f"min_size must be at least 1, got {min_size}")
     kept = [c for c in cs.clusters if len(c.member_ids) >= min_size]
     return ClusterSet(kept, cs.threshold)
 

@@ -41,7 +41,6 @@ from .solver import (
     ObservationSet,
     check_schedule,
     registration_errors,
-    rmse_between_series,
     solve,
     solve_baseline,
 )
@@ -209,43 +208,37 @@ def _read_series_dir(path: Path) -> DensitySeries:
 def cmd_compare(args) -> int:
     result_path = Path(args.result)
     target_path = Path(args.target)
+    if args.config and not args.baseline:
+        return _fail("--config is only read with --baseline")
     if args.baseline:
         if not args.config:
             return _fail("--baseline needs --config to locate the observations")
         cfg = read_config(args.config)
         check_schedule(cfg.observations, cfg.time_steps, baseline=True)
+    for p in (result_path, target_path):
+        if not p.exists():
+            return _fail(f"input not found: {p}")
+    series = result_path.is_dir()
+    if target_path.is_dir() != series:
+        return _fail("compare needs two volumes or two directories of clean_t*.nii, "
+                     f"got {result_path} and {target_path}")
     if args.dry_run:
-        for p in (result_path, target_path):
-            if not p.exists():
-                return _fail(f"input not found: {p}")
         print(f"plan: compare {result_path} against {target_path}")
         return 0
-    rows = []  # (label, metric, step, value)
-    if result_path.is_dir() and target_path.is_dir():
-        series_a = _read_series_dir(result_path)
-        series_b = _read_series_dir(target_path)
-        for n, value in enumerate(rmse_between_series(series_a, series_b), start=1):
-            rows.append(("result", "rmse", str(n), float(value)))
-        final_a = series_a.frame(series_a.time_grid.steps)
-        final_b = series_b.frame(series_b.time_grid.steps)
-    else:
-        _, final_a = read_volume(result_path)
-        _, final_b = read_volume(target_path)
-    mse, inf_norm = registration_errors(final_a, final_b)
-    rows.append(("result", "mse", "", mse))
-    rows.append(("result", "inf_norm", "", inf_norm))
-
+    read = _read_series_dir if series else (lambda p: read_volume(p)[1])
+    stacks = [("result", read(result_path))]
+    target = read(target_path)
     if args.baseline:
-        baseline = solve_baseline(_load_observations(cfg), cfg)
-        final = baseline.densities.frame(baseline.densities.time_grid.steps)
-        b_mse, b_inf = registration_errors(final, final_b)
-        rows.append(("baseline", "mse", "", b_mse))
-        rows.append(("baseline", "inf_norm", "", b_inf))
-
-    lines = ["label,metric,step,value"]
-    for label, metric, step, value in rows:
-        lines.append(f"{label},{metric},{step},{value!r}")
-    report = "\n".join(lines) + "\n"
+        densities = solve_baseline(_load_observations(cfg), cfg).densities
+        stacks.append(("baseline", densities if series else densities.frame(cfg.time_steps)))
+    # a series reports its steps 1..m; a volume is one frame with an empty step
+    rows = ["label,metric,step,value"]
+    for label, stack in stacks:
+        mse, inf_norm = registration_errors(stack, target)
+        steps = [(str(n), n) for n in range(1, len(mse))] if series else [("", 0)]
+        for metric, values in (("mse", mse), ("inf_norm", inf_norm)):
+            rows += [f"{label},{metric},{step},{float(values[n])!r}" for step, n in steps]
+    report = "\n".join(rows) + "\n"
     print(report, end="")
     if args.csv:
         Path(args.csv).write_text(report)

@@ -54,7 +54,6 @@ __all__ = [
     "solve",
     "solve_baseline",
     "registration_errors",
-    "rmse_between_series",
     "BASELINE_ALPHA_FACTOR",
 ]
 
@@ -513,21 +512,18 @@ def solve_baseline(obs: ObservationSet, config: SolverConfig) -> SolveResult:
     return solve(normalized, baseline_config)
 
 
-def registration_errors(result_final: ScalarField, target: ScalarField) -> tuple[float, float]:
-    """Mean squared error and infinity norm between two fields on one grid."""
-    if result_final.grid != target.grid:
-        raise GridMismatchError("fields live on different grids")
-    diff = result_final.values - target.values
-    mse = float((diff * diff).mean())
-    inf_norm = float(np.abs(diff).max())
-    return mse, inf_norm
+def registration_errors(
+    a: DensitySeries | ScalarField, b: DensitySeries | ScalarField
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean squared error and infinity norm of every frame, one entry per frame.
 
-
-def rmse_between_series(a: DensitySeries, b: DensitySeries) -> np.ndarray:
-    """Per-step root mean square difference for steps 1..m."""
+    `a` and `b` are two stacks of frames on one grid: two density series, or
+    two fields, each of which counts as a stack of one frame.
+    """
     if a.grid != b.grid:
-        raise GridMismatchError("series live on different grids")
-    if a.time_grid.steps != b.time_grid.steps:
-        raise ValueError("series have different step counts")
-    diff = a.values[1:] - b.values[1:]
-    return np.sqrt((diff * diff).mean(axis=1))
+        raise GridMismatchError("fields live on different grids")
+    frames_a, frames_b = np.atleast_2d(a.values), np.atleast_2d(b.values)
+    if len(frames_a) != len(frames_b):
+        raise ValueError(f"cannot compare {len(frames_a)} frames with {len(frames_b)}")
+    diff = frames_a - frames_b
+    return (diff * diff).mean(axis=1), np.abs(diff).max(axis=1)

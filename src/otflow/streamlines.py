@@ -4,7 +4,8 @@ The velocity is piecewise constant in time over each solver interval and
 multilinearly interpolated in space. All trajectories are advanced together
 with classical fourth-order Runge-Kutta at a fixed time step, each halting on
 its own at the domain boundary, at a stagnation point, or at the step cap.
-Per-voxel streamline counts give the global pathway picture.
+Per-voxel streamline counts give the global pathway picture. The seeding
+quantile, step size and step cap are taken as given: `RunConfig` checks them.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ def seed_points(density: ScalarField, threshold_quantile: float) -> np.ndarray:
     Ties at the quantile are included; cells with zero density never seed.
     Returns points in canonical cell order, shape (nseeds, ndim).
     """
-    if not 0.0 < threshold_quantile < 1.0:
-        raise ValueError(f"quantile must lie in (0, 1), got {threshold_quantile}")
     vals = density.values
     if np.any(vals < 0):
         raise ValueError("density must be nonnegative")
@@ -83,10 +82,6 @@ def trace_streamlines(
     if outside.size:
         i = int(outside[0])
         raise OutsideDomainError(f"seed {i} at {seeds[i].tolist()} is outside the domain")
-    if step_size <= 0:
-        raise ValueError(f"step size must be positive, got {step_size}")
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
 
     # one (seed ids, points) record per step, seeds included as step 0
     active = np.arange(len(seeds))

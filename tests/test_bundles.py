@@ -130,11 +130,9 @@ class TestBatchedResampleMatchesPerTrack:
         assert np.array_equal(got[0], np.repeat(live[:1], 7, axis=0))
         assert np.array_equal(got[2, -1], live[-1]) and np.array_equal(got[2, 0], live[0])
 
-    def test_refuses_no_tracks_and_too_few_points(self):
+    def test_refuses_no_tracks(self):
         with pytest.raises(ValueError, match="no tracks"):
             resample_tracks([], 12)
-        with pytest.raises(ValueError, match="at least 2"):
-            resample_tracks([Streamline([0.0], [[0.0], [1.0]], 0.1)], 1)
 
 
 def assert_same_clusters(got, want):
@@ -289,11 +287,6 @@ class TestSignificantClusters:
         cs = significant_clusters(quickbundles(tracks, 2.0), 5)
         assert len(cs.clusters) == 2
         assert sorted(len(c.member_ids) for c in cs.clusters) == [20, 20]
-
-    def test_min_size_validated(self):
-        tracks, _ = planted_bundles()
-        with pytest.raises(ValueError):
-            significant_clusters(quickbundles(tracks, 2.0), 0)
 
 
 class TestLabelVolume:

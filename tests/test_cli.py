@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from otflow.forward import TimeGrid, VelocitySeries
+from otflow.forward import DensitySeries, TimeGrid, VelocitySeries
 from otflow.grid import CellGrid, ScalarField
+from otflow.solver import registration_errors, solve_baseline
 from otflow.synth import add_noise
-from otflow.cli import _build_parser, main
-from otflow.dataio import read_volume, write_velocity_series, write_volume
+from otflow.cli import _build_parser, _load_observations, main
+from otflow.dataio import read_config, read_volume, write_velocity_series, write_volume
 from otflow.errors import ConfigError
 
 from conftest import gaussian_blob
@@ -448,7 +449,7 @@ class TestCompareCommand:
         assert run("compare", str(tmp_path / "a.nii"), str(tmp_path / "b.nii")) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_series_directories_report_rmse(self, tmp_path):
+    def test_series_directories_report_per_step_errors(self, tmp_path):
         grid = CellGrid([5, 5], [0.2, 0.2])
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         a_dir.mkdir(), b_dir.mkdir()
@@ -460,10 +461,54 @@ class TestCompareCommand:
         csv_path = tmp_path / "r.csv"
         assert run("compare", str(a_dir), str(b_dir), "--csv", str(csv_path)) == 0
         rows = [r.split(",") for r in csv_path.read_text().splitlines()[1:]]
-        rmse_rows = [r for r in rows if r[1] == "rmse"]
-        assert [r[2] for r in rmse_rows] == ["1", "2"]
-        for r in rmse_rows:
-            assert float(r[3]) == pytest.approx(0.25, rel=1e-6)
+        assert [r[:3] for r in rows] == [
+            ["result", metric, step] for metric in ("mse", "inf_norm") for step in ("1", "2")
+        ]
+        for r, want in zip(rows, [0.0625, 0.0625, 0.25, 0.25]):
+            assert float(r[3]) == pytest.approx(want, rel=1e-6)
+
+    def test_series_baseline_reports_its_frames_1_to_m(self, tmp_path):
+        grid, _, rhoT = write_pair(tmp_path, shift_cells=1)
+        cfg_path = write_config(tmp_path, alpha=0.3)  # observations at 0 and T = 3
+        series = tmp_path / "series"
+        series.mkdir()
+        for n in range(4):
+            write_volume(series / f"clean_t{n}.nii", grid, rhoT)
+        csv_path = tmp_path / "r.csv"
+        assert run("compare", str(series), str(series), "--baseline",
+                   "--config", str(cfg_path), "--csv", str(csv_path)) == 0
+        rows = [r.split(",") for r in csv_path.read_text().splitlines()[1:]]
+        assert [r[:3] for r in rows] == [
+            [label, metric, str(n)]
+            for label in ("result", "baseline") for metric in ("mse", "inf_norm") for n in (1, 2, 3)
+        ]
+        assert all(float(r[3]) == 0.0 for r in rows[:6])
+        cfg = read_config(cfg_path)
+        baseline = solve_baseline(_load_observations(cfg), cfg).densities
+        frame = read_volume(series / "clean_t3.nii")[1].values
+        target = DensitySeries(baseline.grid, baseline.time_grid, np.stack([frame] * 4))
+        mse, inf_norm = registration_errors(baseline, target)
+        assert [float(r[3]) for r in rows[6:]] == [*mse[1:], *inf_norm[1:]]
+
+    def test_config_without_baseline_refused(self, tmp_path, capsys):
+        write_pair(tmp_path)
+        cfg = write_config(tmp_path)
+        assert run("compare", str(tmp_path / "rho0.nii"), str(tmp_path / "rhoT.nii"),
+                   "--config", str(cfg)) == 1
+        assert "--config is only read with --baseline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("dir_first", [True, False], ids=["dir-volume", "volume-dir"])
+    def test_directory_and_volume_refused(self, tmp_path, capsys, dry_run, dir_first):
+        grid, _, _ = write_pair(tmp_path)
+        series = tmp_path / "series"
+        series.mkdir()
+        for n in range(2):
+            write_volume(series / f"clean_t{n}.nii", grid, np.zeros(grid.cell_count))
+        pair = [str(series), str(tmp_path / "rhoT.nii")]
+        assert run("compare", *(pair if dir_first else pair[::-1]), *dry_run) == 1
+        err = capsys.readouterr().err
+        assert "needs two volumes or two directories of clean_t*.nii" in err
 
     def test_baseline_flag_reports_both(self, tmp_path):
         write_pair(tmp_path, shift_cells=1, noise=0.05)

@@ -33,7 +33,6 @@ from otflow.solver import (
     gradient,
     objective,
     registration_errors,
-    rmse_between_series,
     solve,
     solve_baseline,
 )
@@ -602,8 +601,8 @@ class TestSolve:
         observed_T = add_noise(truth_T, noise_std, 31)
         cfg = SolverConfig(sigma=0.05, alpha=0.3, time_steps=4, max_gn_iters=30)
         res = solve(_pair_obs(truth0, observed_T, 4), cfg)
-        mse_clean, _ = registration_errors(res.densities.frame(4), truth_T)
-        mse_obs, _ = registration_errors(observed_T, truth_T)
+        (mse_clean,), _ = registration_errors(res.densities.frame(4), truth_T)
+        (mse_obs,), _ = registration_errors(observed_T, truth_T)
         assert mse_clean < mse_obs
 
     def test_descent_and_diagnostics(self):
@@ -754,27 +753,41 @@ class TestBaseline:
 class TestMetrics:
     def test_registration_identical(self, grid_2d):
         f = ScalarField(grid_2d, philox(0).uniform(0, 1, grid_2d.cell_count))
-        assert registration_errors(f, f) == (0.0, 0.0)
+        mse, inf = registration_errors(f, f)
+        assert mse.tolist() == [0.0] and inf.tolist() == [0.0]
 
     def test_registration_constant_offset(self):
         g = CellGrid([10], [1.0])
-        a = ScalarField(g, np.zeros(10))
-        b = ScalarField(g, np.full(10, 0.1))
+        mse, inf = registration_errors(ScalarField(g, np.zeros(10)),
+                                       ScalarField(g, np.full(10, 0.1)))
+        np.testing.assert_allclose(mse, [0.01], rtol=1e-12)
+        np.testing.assert_allclose(inf, [0.1], rtol=1e-12)
+        base = philox(2).uniform(0, 1, (4, 6))
+        offsets = np.array([0.0, 0.37, -0.5, 0.125])
+        a = DensitySeries(CellGrid([6], [1.0]), TimeGrid.unit_horizon(3), base)
+        b = DensitySeries(a.grid, a.time_grid, base + offsets[:, None])
         mse, inf = registration_errors(a, b)
-        assert mse == pytest.approx(0.01, rel=1e-12)
-        assert inf == pytest.approx(0.1, rel=1e-12)
+        np.testing.assert_allclose(mse, offsets**2, rtol=1e-12)
+        np.testing.assert_allclose(inf, np.abs(offsets), rtol=1e-12)
 
     def test_registration_two_pass_oracle(self, grid_2d):
         rng = philox(12)
-        a = ScalarField(grid_2d, rng.uniform(0, 1, grid_2d.cell_count))
-        b = ScalarField(grid_2d, rng.uniform(0, 1, grid_2d.cell_count))
+        tg = TimeGrid.unit_horizon(2)
+        shape = (tg.steps + 1, grid_2d.cell_count)
+        a = DensitySeries(grid_2d, tg, rng.uniform(0, 1, shape))
+        b = DensitySeries(grid_2d, tg, rng.uniform(0, 1, shape))
         mse, inf = registration_errors(a, b)
-        acc, biggest = 0.0, 0.0
-        for x, y in zip(a.values, b.values):
-            acc += (x - y) ** 2
-            biggest = max(biggest, abs(x - y))
-        assert mse == pytest.approx(acc / grid_2d.cell_count, rel=1e-12)
-        assert inf == pytest.approx(biggest, rel=1e-12)
+        assert mse.shape == inf.shape == (tg.steps + 1,)
+        for n in range(tg.steps + 1):
+            acc, biggest = 0.0, 0.0
+            for x, y in zip(a.values[n], b.values[n]):
+                acc += (x - y) ** 2
+                biggest = max(biggest, abs(x - y))
+            assert mse[n] == pytest.approx(acc / grid_2d.cell_count, rel=1e-12)
+            assert inf[n] == pytest.approx(biggest, rel=1e-12)
+            # a frame measured alone gives the same bits as within its stack
+            alone = registration_errors(a.frame(n), b.frame(n))
+            assert (alone[0][0], alone[1][0]) == (mse[n], inf[n])
 
     def test_registration_grid_mismatch(self):
         a = ScalarField(CellGrid([4], [1.0]), np.zeros(4))
@@ -782,15 +795,11 @@ class TestMetrics:
         with pytest.raises(GridMismatchError):
             registration_errors(a, b)
 
-    def test_rmse_series(self):
+    def test_registration_frame_count_mismatch(self):
         g = CellGrid([6], [1.0])
-        tg = TimeGrid.unit_horizon(3)
-        rng = philox(2)
-        base = rng.uniform(0, 1, (4, 6))
-        a = DensitySeries(g, tg, base)
-        np.testing.assert_allclose(rmse_between_series(a, a), 0.0)
-        c = 0.37
-        b = DensitySeries(g, tg, base + c)
-        np.testing.assert_allclose(rmse_between_series(a, b), c, rtol=1e-12)
-        per_step = rmse_between_series(a, DensitySeries(g, tg, base + rng.uniform(0, 1, (4, 6))))
-        assert per_step.shape == (3,)
+        a = DensitySeries(g, TimeGrid.unit_horizon(3), np.zeros((4, 6)))
+        b = DensitySeries(g, TimeGrid.unit_horizon(2), np.zeros((3, 6)))
+        with pytest.raises(ValueError, match="4 frames with 3"):
+            registration_errors(a, b)
+        with pytest.raises(ValueError, match="4 frames with 1"):
+            registration_errors(a, ScalarField(g, np.zeros(6)))
