@@ -186,23 +186,24 @@ def cmd_synth(args) -> int:
 _CLEAN_RE = re.compile(r"clean_t(\d+)\.nii$")
 
 
+def _series_files(path: Path) -> list[Path]:
+    """The clean_t*.nii files of a series directory, in frame order."""
+    files = {int(m.group(1)): f for f in path.iterdir() if (m := _CLEAN_RE.match(f.name))}
+    if len(files) < 2 or sorted(files) != list(range(len(files))):
+        raise OTFlowError(f"{path} does not hold a contiguous clean_t*.nii series")
+    return [files[n] for n in range(len(files))]
+
+
 def _read_series_dir(path: Path) -> DensitySeries:
-    frames = {}
-    grid = None
-    for f in sorted(path.iterdir()):
-        match = _CLEAN_RE.match(f.name)
-        if not match:
-            continue
+    grid, frames = None, []
+    for f in _series_files(path):
         g, field = read_volume(f)
         if grid is None:
             grid = g
         elif g != grid:
             raise GridMismatchError(f"{f} grid differs from the rest of the series")
-        frames[int(match.group(1))] = field.values
-    if len(frames) < 2 or sorted(frames) != list(range(len(frames))):
-        raise OTFlowError(f"{path} does not hold a contiguous clean_t*.nii series")
-    values = np.stack([frames[n] for n in range(len(frames))])
-    return DensitySeries(grid, TimeGrid.unit_horizon(len(frames) - 1), values)
+        frames.append(field.values)
+    return DensitySeries(grid, TimeGrid.unit_horizon(len(frames) - 1), np.stack(frames))
 
 
 def cmd_compare(args) -> int:
@@ -222,6 +223,13 @@ def cmd_compare(args) -> int:
     if target_path.is_dir() != series:
         return _fail("compare needs two volumes or two directories of clean_t*.nii, "
                      f"got {result_path} and {target_path}")
+    if series and args.baseline:
+        # the baseline has time_steps + 1 frames: refuse another count before solving it
+        for p in (result_path, target_path):
+            frames = len(_series_files(p))
+            if frames != cfg.time_steps + 1:
+                return _fail(f"{p} holds {frames} frames, but the baseline of time_steps="
+                             f"{cfg.time_steps} in {args.config} has {cfg.time_steps + 1}")
     if args.dry_run:
         print(f"plan: compare {result_path} against {target_path}")
         return 0

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import CellGrid, VectorField, _corner_steps, _fold_corners, _stencil
+from .grid import CellGrid, VectorField, _corner_steps, _stencil
 
 if TYPE_CHECKING:
     import scipy.sparse as sparse
@@ -80,18 +80,43 @@ def _indptr(m: int, s: int, c: int, dtype) -> np.ndarray:
     return np.arange(0, m * s * c + 1, c, dtype=dtype)
 
 
+def _write_corners(indices: np.ndarray, data: np.ndarray, lower: np.ndarray, offset: int,
+                   steps: Sequence, fracs: Sequence, scale: np.ndarray | None = None) -> None:
+    """Write each particle's stencil corners into its row of `indices` and
+    `data`, (s, c) views of a matrix's final arrays: corner c takes bit
+    (c >> a) & 1 of axis a's pair in `steps` and in (1 - frac, frac), in
+    `otflow.grid._fold_corners`' order. The weight is formed in place as
+    1 * f_0 * f_1 * ... (times `scale`), so its bits are the fold's, with no
+    (c, s) temporary and one axis's 1 - frac alive at a time."""
+    corners = range(indices.shape[1])
+    for c in corners:
+        step = offset + sum(pair[(c >> a) & 1] for a, pair in enumerate(steps))
+        np.add(lower, step, out=indices[:, c], casting="unsafe")
+    data.fill(1.0)
+    for a, frac in enumerate(fracs):
+        pair = (1.0 - frac, frac)
+        for c in corners:
+            data[:, c] *= pair[(c >> a) & 1]
+    if scale is not None:
+        # column by column: an in-place product broadcast over the corners copies data
+        for c in corners:
+            data[:, c] *= scale
+
+
 def advection_interp_matrix(grid: CellGrid, stencil) -> sparse.csc_matrix:
     """Push-and-deposit matrix S of one conservative advection step, from the
     interval's `_deposit_stencil`.
 
     Column j holds the deposit weights of the particle launched from cell j;
-    every column sums to one and entries lie in [0, 1].
+    every column sums to one and entries lie in [0, 1]. Rows and weights are
+    written straight into the matrix's arrays.
     """
     lower, frac, _ = stencil
     s, corners = grid.cell_count, 2**grid.ndim
-    weights = _fold_corners(zip(1.0 - frac, frac), np.multiply, np.ones(s))
-    rows = _fold_corners(_corner_steps(grid), np.add, lower).T.astype(_index_dtype(s * corners))
-    return _deposit_matrix(weights.T[None], rows[None], _indptr(1, s, corners, rows.dtype))
+    indices = np.empty((1, s, corners), _index_dtype(s * corners))
+    data = np.empty((1, s, corners))
+    _write_corners(indices[0], data[0], lower, 0, _corner_steps(grid), frac)
+    return _deposit_matrix(data, indices, _indptr(1, s, corners, indices.dtype))
 
 
 def advection_weight_gradients(
@@ -118,13 +143,10 @@ def advection_weight_gradients(
     indices = [np.empty((m, s, corners), dtype) for _ in range(grid.ndim)]
     data = [np.empty((m, s, corners)) for _ in range(grid.ndim)]
     for n, (lower, frac, live) in enumerate(stencils):
-        block_lower = lower + n * s
-        factors = list(zip(1.0 - frac, frac))
         for k in range(grid.ndim):
             # every axis but k spans its two corners; axis k keeps the lower
-            rows = _fold_corners(steps[:k] + steps[k + 1 :], np.add, block_lower)
-            np.copyto(indices[k][n].T, rows, casting="unsafe")
-            weights = _fold_corners(factors[:k] + factors[k + 1 :], np.multiply, np.ones(s))
-            np.multiply(weights, (dt / grid.spacing[k]) * live[k], out=data[k][n].T)
+            scale = np.where(live[k], dt / grid.spacing[k], 0.0)  # (dt/h_k) live_k
+            _write_corners(indices[k][n], data[k][n], lower, n * s, steps[:k] + steps[k + 1 :],
+                           [*frac[:k], *frac[k + 1 :]], scale)
     indptr = _indptr(m, s, corners, dtype)
     return [_deposit_matrix(d, i, indptr) for d, i in zip(data, indices)]

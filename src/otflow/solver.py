@@ -277,6 +277,13 @@ def _gn_hessian_apply(
     return adjoint_sweep(sweep, frames, (misfit,), out=energy * dv)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product of two arrays of one shape, summed by numpy's own
+    loop: BLAS's dot splits a long sum across its threads, so its bits would
+    depend on the thread count."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
 def _gn_step(
     hess_apply: Callable[[np.ndarray], np.ndarray], grad: np.ndarray, diag: np.ndarray
 ) -> np.ndarray:
@@ -286,29 +293,29 @@ def _gn_step(
 
     Stops early on the relative target for the unpreconditioned residual or
     on a flat/singular direction; whatever iterate is reached is still a
-    descent direction. Each of the four inner products is one BLAS dot
-    (`np.vdot`), with no temporary. x, r, z and p are updated in place, and
-    one scratch array takes the steps that are added.
+    descent direction. Each of the four inner products is one `_dot`, with
+    no temporary. x, r, z and p are updated in place, and one scratch array
+    takes the steps that are added.
     """
     r = -grad
-    bnorm = float(np.linalg.norm(r))
+    bnorm = np.sqrt(_dot(r, r))
     x = np.zeros_like(r)
     z = r / diag
     p = z.copy()
     scratch = np.empty_like(r)
-    rz = float(np.vdot(r, z))
+    rz = _dot(r, z)
     for _ in range(GN_CG_MAX_ITERS):
         hp = hess_apply(p)
-        curv = float(np.vdot(p, hp))
-        if curv <= 1e-16 * float(np.vdot(p, p)):
+        curv = _dot(p, hp)
+        if curv <= 1e-16 * _dot(p, p):
             break
         a = rz / curv
         x += np.multiply(p, a, out=scratch)
         r -= np.multiply(hp, a, out=scratch)
-        if np.sqrt(float(np.vdot(r, r))) <= GN_CG_TOLERANCE * bnorm:
+        if np.sqrt(_dot(r, r)) <= GN_CG_TOLERANCE * bnorm:
             break
         np.divide(r, diag, out=z)
-        rz_new = float(np.vdot(r, z))
+        rz_new = _dot(r, z)
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -439,7 +446,7 @@ def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
     frames, sweep = forward_frames(v, rho0, diffusion)
     phi, energy, misfit = _objective_terms(v, frames, sweep, obs, alpha)
     g = _gradient_values(v, frames, sweep, obs, alpha)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = float(np.sqrt(_dot(g, g)))
     gnorm0 = gnorm
     records = [IterationRecord(0, phi, energy, misfit, gnorm, 0.0)]
 
@@ -474,8 +481,11 @@ def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
             v = trial_v
             frames, sweep = trial
             phi, energy, misfit = trial_phi, trial_e, trial_m
+            # the gradient is the solve's memory peak: nothing reads the step,
+            # the old gradient or the trial tuple again, so they go first
+            direction = g = trial = None
             g = _gradient_values(v, frames, sweep, obs, alpha)
-            gnorm = float(np.linalg.norm(g))
+            gnorm = float(np.sqrt(_dot(g, g)))
             records.append(IterationRecord(it, phi, energy, misfit, gnorm, t))
             if gnorm <= config.stop_tolerance * gnorm0:
                 termination = "gradient"

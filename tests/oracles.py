@@ -9,7 +9,7 @@ from otflow.bundles import Cluster, ClusterSet
 from otflow.forward import ImplicitDiffusion, Sweep, VelocitySeries
 from otflow.grid import CellGrid, _corner_cells, _fold_corners, _stencil
 from otflow.operators import _deposit_stencil, advection_weight_gradients
-from otflow.solver import GN_CG_MAX_ITERS, GN_CG_TOLERANCE
+from otflow.solver import GN_CG_MAX_ITERS, GN_CG_TOLERANCE, _dot
 
 
 def assemble_diffusion_operator(grid: CellGrid, sigma: float) -> sparse.csr_matrix:
@@ -123,23 +123,23 @@ def unpreconditioned_gn_step(
     hess_apply: Callable[[np.ndarray], np.ndarray], grad: np.ndarray
 ) -> np.ndarray:
     """Truncated CG on H p = -g with no preconditioner, at the solver's
-    relative-residual target and iteration cap, with the solver's one-dot
+    relative-residual target and iteration cap, with the solver's `_dot`
     reductions and in-place updates."""
     r = -grad
-    bnorm = float(np.linalg.norm(r))
+    bnorm = np.sqrt(_dot(r, r))
     x = np.zeros_like(r)
     p = r.copy()
     scratch = np.empty_like(r)
-    rs = float(np.vdot(r, r))
+    rs = _dot(r, r)
     for _ in range(GN_CG_MAX_ITERS):
         hp = hess_apply(p)
-        curv = float(np.vdot(p, hp))
-        if curv <= 1e-16 * float(np.vdot(p, p)):
+        curv = _dot(p, hp)
+        if curv <= 1e-16 * _dot(p, p):
             break
         a = rs / curv
         x += np.multiply(p, a, out=scratch)
         r -= np.multiply(hp, a, out=scratch)
-        rs_new = float(np.vdot(r, r))
+        rs_new = _dot(r, r)
         if np.sqrt(rs_new) <= GN_CG_TOLERANCE * bnorm:
             break
         p *= rs_new / rs

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otflow
+import otflow.cli
 from otflow.forward import DensitySeries, TimeGrid, VelocitySeries
 from otflow.grid import CellGrid, ScalarField
 from otflow.solver import registration_errors, solve_baseline
@@ -490,6 +497,27 @@ class TestCompareCommand:
         mse, inf_norm = registration_errors(baseline, target)
         assert [float(r[3]) for r in rows[6:]] == [*mse[1:], *inf_norm[1:]]
 
+    @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry-run"])
+    def test_series_baseline_refuses_another_frame_count_before_solving(
+        self, tmp_path, capsys, monkeypatch, dry_run
+    ):
+        grid, _, rhoT = write_pair(tmp_path)
+        cfg = write_config(tmp_path, time_steps=4, final_index=4)  # a baseline of 5 frames
+        series = tmp_path / "series"
+        series.mkdir()
+        for n in range(3):
+            write_volume(series / f"clean_t{n}.nii", grid, rhoT)
+
+        def solve_baseline(*args):
+            raise AssertionError("the baseline was solved")
+
+        monkeypatch.setattr(otflow.cli, "solve_baseline", solve_baseline)
+        assert run("compare", str(series), str(series), "--baseline",
+                   "--config", str(cfg), *dry_run) == 1
+        assert capsys.readouterr().err == (
+            f"error: {series} holds 3 frames, but the baseline of time_steps=4 "
+            f"in {cfg} has 5\n")
+
     def test_config_without_baseline_refused(self, tmp_path, capsys):
         write_pair(tmp_path)
         cfg = write_config(tmp_path)
@@ -568,3 +596,40 @@ class TestDeterminism:
             return {**snapshot(data), **snapshot(tmp_path / "out")}
 
         assert pipeline() == pipeline()
+
+    def test_solve_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits a float64 dot of more than about 10^4 values across
+        # its threads, and reads its thread count when numpy loads, hence one
+        # subprocess per count; 24^3 puts the start's CG and the gradient
+        # norm well past that size
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (cpus or 1) < 2:
+            warnings.warn(f"{cpus} CPU: OpenBLAS runs one thread at either count, "
+                          "so this test cannot catch a sum split across threads")
+        spec_doc = {
+            "dims": [24, 24, 24], "spacing": [1 / 24] * 3,
+            "blobs": [{"center": [0.32, 0.5, 0.5], "width": 0.08, "mass": 0.5},
+                      {"center": [0.68, 0.5, 0.5], "width": 0.08, "mass": 0.5}],
+            "velocity": {"kind": "rotation", "center": [0.5, 0.5, 0.5], "rate": 0.6},
+            "noise_std": 2.25e-5, "rng_seed": 202,
+        }
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_doc))
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert run("synth", str(spec), "--out", str(data)) == 0
+        cfg = write_config(tmp_path, observations=[
+            {"time_index": 0, "path": str(data / "obs_t0.nii")},
+            {"time_index": 3, "path": str(data / "obs_t1.nii")},
+        ], max_gn_iters=1, alpha=0.3, sigma=0.002)
+        src = str(Path(otflow.__file__).parents[1])
+
+        def solve_with(threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-m", "otflow", "solve", "--config", str(cfg)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode in (0, 2), done.stderr
+            return snapshot(out)
+
+        one, two = solve_with(1), solve_with(2)
+        assert len(one) > 10
+        assert [name for name in one if one[name] != two.get(name)] == []

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -185,6 +186,33 @@ class TestDepositPattern:
             # half of G_k's entries: the lower corner along k of each pair
             assert T.nnz == grid.cell_count * 2 ** (grid.ndim - 1)
             assert np.array_equal(written_out(grid, T, k), G_ref.toarray())
+
+
+class TestBuildersWriteInPlace:
+    @pytest.mark.parametrize("builder", ["S", "T"])
+    def test_peak_beyond_the_returned_matrices_is_two_cell_arrays(self, builder):
+        # 3D, m = 3: a (2^d, s) temporary or a transposed copy of the corner
+        # rows or weights would hold at least 4 s-length arrays
+        grid = CellGrid([16, 16, 16], [1 / 16] * 3)
+        s, dt = grid.cell_count, 1 / 3
+        rng = philox(11)
+        stencils = [_deposit_stencil(VectorField(grid, rng.uniform(-0.2, 0.2, (3, s))), dt)
+                    for _ in range(3)]
+        build = {"S": lambda: [advection_interp_matrix(grid, st) for st in stencils],
+                 "T": lambda: advection_weight_gradients(grid, stencils, dt)}[builder]
+        build()  # warm-up: first-call allocations are not the builder's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrices = build()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the arrays the matrices keep, each counted once (the T_k share indptr)
+        kept = {id(a): a.nbytes for M in matrices for a in (M.data, M.indices, M.indptr)}
+        # one 1 - frac or one scale, and the buffer casting one corner's rows;
+        # 4 KiB for the Python objects of the calls
+        assert peak - sum(kept.values()) <= 2 * s * 8 + 4096
 
 
 def _one_step_jvp(v, dt, rho, dv):

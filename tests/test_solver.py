@@ -673,6 +673,31 @@ class TestSolve:
         assert len(seen) == len(res.diagnostics) - 1 == 3
         assert all(all(checks) for checks in seen)
 
+    def test_gradient_runs_with_the_last_step_released(self, monkeypatch):
+        # at each gradient of an accepted iterate, the solve's memory peak,
+        # the previous gradient and the last direction are already dead
+        rho0, target, config = _blob_problem((12, 10), 3)
+        grads, directions, seen = [], [], []
+        gradient_of = otflow.solver._gradient_values
+        direction_of = otflow.solver._gn_direction
+
+        def gradient_values(*args):
+            seen.append([ref() is None for ref in (*grads, *directions)])
+            g = gradient_of(*args)
+            grads.append(weakref.ref(g))
+            return g
+
+        def gn_direction(*args):
+            direction = direction_of(*args)
+            directions.append(weakref.ref(direction))
+            return direction
+
+        monkeypatch.setattr(otflow.solver, "_gradient_values", gradient_values)
+        monkeypatch.setattr(otflow.solver, "_gn_direction", gn_direction)
+        res = solve(_pair_obs(rho0, target, 3), config)
+        assert len(seen) == len(res.diagnostics) == 4
+        assert all(len(dead) == 2 * n and all(dead) for n, dead in enumerate(seen))
+
     def test_cast_peak_stays_within_the_gradients(self, monkeypatch):
         # the traced peak from the end of the gradient to the start of the CG,
         # where the sweep is cast, must not exceed the gradient's own
