@@ -35,7 +35,7 @@ from .dataio import (
     write_volume,
 )
 from .errors import GridMismatchError, OTFlowError
-from .forward import DensitySeries, TimeGrid
+from .forward import DensitySeries
 from .solver import (
     ObservationEntry,
     ObservationSet,
@@ -67,6 +67,9 @@ def _load_observations(cfg: RunConfig) -> ObservationSet:
     return ObservationSet(entries)
 
 
+_NUMBERED_RE = re.compile(r"(clean_t\d+|velocity_t\d+_c\d+)\.nii$")
+
+
 def cmd_solve(args) -> int:
     cfg = read_config(args.config)
     out = Path(cfg.output_dir)
@@ -83,6 +86,10 @@ def cmd_solve(args) -> int:
     result = (solve_baseline if cfg.baseline_mode else solve)(obs, cfg)
 
     out.mkdir(parents=True, exist_ok=True)
+    # the numbered outputs of an earlier solve here would mix with this one's
+    for f in out.iterdir():
+        if _NUMBERED_RE.match(f.name):
+            f.unlink()
     for n in range(cfg.time_steps + 1):
         write_volume(out / f"clean_t{n}.nii", obs.grid, result.densities.values[n])
     write_velocity_series(out / "velocity", result.velocity)
@@ -203,7 +210,7 @@ def _read_series_dir(path: Path) -> DensitySeries:
         elif g != grid:
             raise GridMismatchError(f"{f} grid differs from the rest of the series")
         frames.append(field.values)
-    return DensitySeries(grid, TimeGrid.unit_horizon(len(frames) - 1), np.stack(frames))
+    return DensitySeries(grid, np.stack(frames))
 
 
 def cmd_compare(args) -> int:

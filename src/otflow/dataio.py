@@ -31,7 +31,7 @@ from .errors import (
     VolumeFormatError,
     require,
 )
-from .forward import TimeGrid, VelocitySeries
+from .forward import VelocitySeries
 from .grid import CellGrid, ScalarField
 from .solver import SolverConfig, check_schedule
 from .streamlines import Streamline
@@ -226,17 +226,15 @@ def write_velocity_series(path_prefix, v: VelocitySeries) -> None:
     """One volume per component per interval plus a JSON manifest.
 
     Files are named <prefix>_t<n>_c<k>.nii; the manifest records the grid and
-    time discretization needed to reassemble the series.
+    the number of intervals on T = 1 needed to reassemble the series.
     """
     prefix = Path(path_prefix)
     grid = v.grid
-    for n in range(v.time_grid.steps):
+    for n in range(len(v.values)):
         for k in range(grid.ndim):
             write_volume(f"{prefix}_t{n}_c{k}.nii", grid, v.values[n, k])
     manifest = {
-        "time_steps": v.time_grid.steps,
-        "dt": v.time_grid.dt,
-        "components": grid.ndim,
+        "time_steps": len(v.values),
         "dims": list(grid.dims),
         # volumes carry float32 pixdim, so the manifest records the same precision
         "spacing": [float(np.float32(h)) for h in grid.spacing],
@@ -249,14 +247,12 @@ def read_velocity_series(path_prefix) -> VelocitySeries:
     path = f"{prefix}_manifest.json"
     manifest = _load_json_object(path, "velocity manifest")
     with _naming(path):
-        m = _read_object(manifest, "", {"time_steps": int, "dt": _NUMBER, "components": int,
-                                        "dims": [int], "spacing": [_NUMBER]}, {})
+        m = _read_object(manifest, "", {"time_steps": int, "dims": [int],
+                                        "spacing": [_NUMBER]}, {})
         grid = CellGrid(m["dims"], m["spacing"])
-        time_grid = TimeGrid(m["time_steps"], float(m["dt"]))
-        require(m["components"] == grid.ndim, "components", "the number of axes in 'dims'",
-                m["components"])
-    values = np.empty((time_grid.steps, grid.ndim, grid.cell_count))
-    for n in range(time_grid.steps):
+        require(m["time_steps"] >= 1, "time_steps", "at least 1", m["time_steps"])
+    values = np.empty((m["time_steps"], grid.ndim, grid.cell_count))
+    for n in range(m["time_steps"]):
         for k in range(grid.ndim):
             file_grid, comp = read_volume(f"{prefix}_t{n}_c{k}.nii")
             if file_grid != grid:
@@ -264,7 +260,7 @@ def read_velocity_series(path_prefix) -> VelocitySeries:
                     f"{prefix}_t{n}_c{k}.nii does not match the manifest grid"
                 )
             values[n, k] = comp.values
-    return VelocitySeries(grid, time_grid, values)
+    return VelocitySeries(grid, values)
 
 
 def write_streamlines_jsonl(path, streamlines: list[Streamline]) -> None:

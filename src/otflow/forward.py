@@ -27,49 +27,28 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import require
-from .grid import CellGrid, ScalarField, VectorField
+from .grid import CellGrid, ScalarField
 from .operators import _deposit_stencil, advection_interp_matrix, advection_weight_gradients
 
 __all__ = [
-    "TimeGrid",
     "DensitySeries",
     "VelocitySeries",
     "ImplicitDiffusion",
 ]
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time discretization: `steps` intervals of length `dt`."""
-
-    steps: int
-    dt: float
-
-    def __post_init__(self):
-        require(int(self.steps) >= 1, "time_steps", "at least 1", self.steps)
-        require(self.dt > 0, "dt", "positive", self.dt)
-        object.__setattr__(self, "steps", int(self.steps))
-        object.__setattr__(self, "dt", float(self.dt))
-
-    @classmethod
-    def unit_horizon(cls, steps: int) -> "TimeGrid":
-        """Time grid normalized so the horizon is exactly one."""
-        return cls(steps, 1.0 / steps)
-
-
 @dataclass(eq=False)
 class DensitySeries:
-    """Density trajectory: frames 0..steps as rows of `values` ((steps+1, s))."""
+    """Density trajectory on T = 1: frames 0..m of m >= 1 intervals as the
+    rows of `values` ((m+1, s))."""
 
     grid: CellGrid
-    time_grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        expect = (self.time_grid.steps + 1, self.grid.cell_count)
-        if vals.shape != expect:
-            raise ValueError(f"expected values of shape {expect}, got {vals.shape}")
+        if vals.shape[1:] != (self.grid.cell_count,) or len(vals) < 2:
+            raise ValueError(f"expected values of shape (m+1, {self.grid.cell_count}) "
+                             f"with m >= 1, got {vals.shape}")
         self.values = vals
 
     def frame(self, n: int) -> ScalarField:
@@ -78,17 +57,18 @@ class DensitySeries:
 
 @dataclass(eq=False)
 class VelocitySeries:
-    """Velocity trajectory: one vector field per interval, `values` (steps, d, s)."""
+    """Velocity trajectory on T = 1: one vector field per interval of m >= 1,
+    `values` (m, d, s)."""
 
     grid: CellGrid
-    time_grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        expect = (self.time_grid.steps, self.grid.ndim, self.grid.cell_count)
-        if vals.shape != expect:
-            raise ValueError(f"expected values of shape {expect}, got {vals.shape}")
+        expect = (self.grid.ndim, self.grid.cell_count)
+        if vals.shape[1:] != expect or len(vals) < 1:
+            raise ValueError(f"expected values of shape (m, {expect[0]}, {expect[1]}) "
+                             f"with m >= 1, got {vals.shape}")
         self.values = vals
 
 
@@ -183,10 +163,10 @@ class Sweep:
     deposit S(v_n) and the one shared solve D, and the velocity derivative of
     all intervals at once.
 
-    The deposits S, one per interval, are built from the fields on first use
-    and kept. Each interval's deposit stencil is computed once, and both its
-    S and its block of the T_k below are built from it; the stencils are
-    dropped once both are built. `push(n, x, inj)` is the linear step
+    The deposits S, one per interval, are built from the velocities, shape
+    (m, d, s), on first use and kept. Each interval's deposit stencil is
+    computed once, and both its S and its block of the T_k below are built
+    from it; the stencils are dropped once both are built. `push(n, x, inj)` is the linear step
     x -> D(S_n x + inj), where inj is a velocity perturbation (`jvp`) entering
     before the solve. D is symmetric, so y -> S_T[n] @ (D y) is the transpose
     of push in x. S is CSC, so S^T is a CSR view of the same arrays, not a
@@ -207,17 +187,18 @@ class Sweep:
     same code runs on float32 frames and directions.
     """
 
-    def __init__(self, fields: list[VectorField], diffusion: ImplicitDiffusion):
-        self.fields = fields
+    def __init__(self, velocities: np.ndarray, diffusion: ImplicitDiffusion):
+        self.velocities = velocities
         self.diffusion = diffusion
         # an (m, s) array viewed as the cells of each interval, (m, n_{d-1},
         # .., n_0): axis 0 of the grid varies fastest, so grid axis k is axis
         # d - k of the view
-        self._cells_shape = (len(fields), *diffusion.grid.dims[::-1])
+        self._cells_shape = (len(velocities), *diffusion.grid.dims[::-1])
 
     @cached_property
     def _stencils(self):
-        return [_deposit_stencil(v, self.diffusion.dt) for v in self.fields]
+        grid, dt = self.diffusion.grid, self.diffusion.dt
+        return [_deposit_stencil(grid, v_n, dt) for v_n in self.velocities]
 
     @cached_property
     def S(self):
@@ -293,8 +274,11 @@ def forward_frames(
     """The one forward sweep: frames 0..m, shape (m+1, s), and its sweep.
 
     Each step is the push followed by the clamp of round-off negatives to
-    zero, the model's one negative-density policy."""
-    sweep = Sweep([VectorField(diffusion.grid, v_n) for v_n in v_values], diffusion)
+    zero, the model's one negative-density policy. v_values, (m, d, s), must
+    be finite."""
+    if not np.isfinite(v_values).all():
+        raise ValueError("velocity components must be finite")
+    sweep = Sweep(v_values, diffusion)
     frames = np.empty((len(v_values) + 1, diffusion.grid.cell_count))
     frames[0] = rho0_values
     for n in range(len(v_values)):

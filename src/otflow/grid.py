@@ -20,7 +20,6 @@ from .errors import require
 __all__ = [
     "CellGrid",
     "ScalarField",
-    "VectorField",
 ]
 
 # Relative slack when testing whether a point lies inside the closed domain.
@@ -136,23 +135,6 @@ class ScalarField:
 
     def total_mass(self) -> float:
         return float(self.values.sum())
-
-
-@dataclass(eq=False)
-class VectorField:
-    """One d-component vector per grid cell; components[k] has canonical cell order."""
-
-    grid: CellGrid
-    components: np.ndarray
-
-    def __post_init__(self):
-        comp = np.asarray(self.components, dtype=float)
-        expect = (self.grid.ndim, self.grid.cell_count)
-        if comp.shape != expect:
-            raise ValueError(f"expected components of shape {expect}, got {comp.shape}")
-        if not np.all(np.isfinite(comp)):
-            raise ValueError("vector components must be finite")
-        self.components = comp
 
 
 def _stencil(grid: CellGrid, coords: np.ndarray):

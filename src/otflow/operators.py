@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import CellGrid, VectorField, _corner_steps, _stencil
+from .grid import CellGrid, _corner_steps, _stencil
 
 if TYPE_CHECKING:
     import scipy.sparse as sparse
@@ -41,19 +41,18 @@ __all__ = [
 ]
 
 
-def _deposit_stencil(v: VectorField, dt: float):
+def _deposit_stencil(grid: CellGrid, v_n: np.ndarray, dt: float):
     """Stencil (lower, frac, live) of the particles pushed from the cell
-    centers: lower is the flat index of each particle's lowest corner cell,
-    frac as `otflow.grid._stencil` gives it, and live[k] is True where
-    frac[k] responds linearly to motion, False where the particle is clamped
-    against a wall or axis k has one cell.
+    centers by one interval's velocity v_n, shape (d, s): lower is the flat
+    index of each particle's lowest corner cell, frac as `otflow.grid._stencil`
+    gives it, and live[k] is True where frac[k] responds linearly to motion,
+    False where the particle is clamped against a wall or axis k has one cell.
 
     Working with cell_index + dt*v/h (instead of dividing physical positions
     by the spacing) keeps a zero displacement exactly on the cell center, so
     S(0) is exactly the identity.
     """
-    grid = v.grid
-    coords = grid.cell_index + (dt / np.asarray(grid.spacing))[:, None] * v.components
+    coords = grid.cell_index + (dt / np.asarray(grid.spacing))[:, None] * v_n
     base, frac = _stencil(grid, coords)
     top = np.asarray(grid.dims)[:, None] - 1
     live = (coords >= 0) & (coords <= top) & (top > 0)

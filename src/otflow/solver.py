@@ -34,7 +34,6 @@ from .forward import (
     DensitySeries,
     ImplicitDiffusion,
     Sweep,
-    TimeGrid,
     VelocitySeries,
     adjoint_sweep,
     forward_frames,
@@ -164,9 +163,11 @@ class SolverConfig:
     stop_tolerance: float = 1e-6
 
     def _ranges(self) -> tuple[tuple[str, bool, str], ...]:
-        """(key, holds, requirement) for every field with a bounded range
-        except `time_steps`, whose rule is `TimeGrid`'s."""
+        """(key, holds, requirement) for every field with a bounded range."""
         return (
+            ("time_steps",
+             isinstance(self.time_steps, (int, np.integer)) and self.time_steps >= 1,
+             "an integer, at least 1"),
             ("sigma", self.sigma >= 0, "nonnegative"),
             ("alpha", self.alpha > 0, "positive"),
             ("max_gn_iters", self.max_gn_iters >= 1, "at least 1"),
@@ -176,7 +177,6 @@ class SolverConfig:
     def __post_init__(self):
         for key, holds, requirement in self._ranges():
             require(holds, key, requirement, getattr(self, key))
-        TimeGrid(self.time_steps, 1.0)  # refuses a bad time_steps by its own rule
 
 
 @dataclass(frozen=True)
@@ -350,7 +350,7 @@ def _validate_problem(obs: ObservationSet, config: SolverConfig):
 
 def _sweep(v: VelocitySeries, obs: ObservationSet, config: SolverConfig):
     _validate_problem(obs, config)
-    diffusion = ImplicitDiffusion(v.grid, config.sigma, v.time_grid.dt)
+    diffusion = ImplicitDiffusion(v.grid, config.sigma, 1.0 / len(v.values))
     return forward_frames(v.values, obs.initial.values, diffusion)
 
 
@@ -358,14 +358,14 @@ def objective(v: VelocitySeries, obs: ObservationSet, config: SolverConfig) -> O
     """Evaluate the transport energy, the data misfit, and their sum at v."""
     frames, sweep = _sweep(v, obs, config)
     total, energy, misfit = _objective_terms(v.values, frames, sweep, obs, config.alpha)
-    return ObjectiveValue(total, energy, misfit, DensitySeries(v.grid, v.time_grid, frames))
+    return ObjectiveValue(total, energy, misfit, DensitySeries(v.grid, frames))
 
 
 def gradient(v: VelocitySeries, obs: ObservationSet, config: SolverConfig) -> VelocitySeries:
     """Adjoint gradient of the objective with respect to the velocity trajectory."""
     frames, sweep = _sweep(v, obs, config)
     values = _gradient_values(v.values, frames, sweep, obs, config.alpha)
-    return VelocitySeries(v.grid, v.time_grid, values)
+    return VelocitySeries(v.grid, values)
 
 
 def _to_cells(faces: np.ndarray, axis: int) -> np.ndarray:
@@ -401,9 +401,10 @@ def _weighted_laplacian(rho_bar: np.ndarray, grid: CellGrid) -> tuple[Callable, 
     return apply, sum(_to_cells(w, k) for k, w in enumerate(weights)).ravel(order="F")
 
 
-def _linearised_start(obs: ObservationSet, time_grid: TimeGrid) -> np.ndarray:
-    """The starting velocity, shape (m, d, s): the linearised-OT flow between
-    each pair of consecutive observations (i, j), on every interval from i to j.
+def _linearised_start(obs: ObservationSet, steps: int) -> np.ndarray:
+    """The starting velocity over `steps` intervals of dt = 1/steps, shape
+    (steps, d, s): the linearised-OT flow between each pair of consecutive
+    observations (i, j), on every interval from i to j.
 
     Linearising the continuity equation at rho_bar = (rho_i + rho_j) / 2 and
     taking the least-energy potential flow gives v = grad phi with
@@ -417,11 +418,12 @@ def _linearised_start(obs: ObservationSet, time_grid: TimeGrid) -> np.ndarray:
     observations give exactly 0.
     """
     grid = obs.grid
-    v = np.zeros((time_grid.steps, grid.ndim, grid.cell_count))
+    dt = 1.0 / steps
+    v = np.zeros((steps, grid.ndim, grid.cell_count))
     for a, b in zip(obs.entries, obs.entries[1:]):
         rho_bar = 0.5 * (a.observed.values + b.observed.values)
         laplacian, diag = _weighted_laplacian(np.maximum(rho_bar, 1e-6 * rho_bar.max()), grid)
-        tau = (b.time_index - a.time_index) * time_grid.dt
+        tau = (b.time_index - a.time_index) * dt
         rhs = (b.observed.values - a.observed.values) / tau
         phi = _gn_step(laplacian, rhs.mean() - rhs, np.where(diag > 0, diag, 1))
         phi = phi.reshape(grid.dims, order="F")
@@ -439,10 +441,9 @@ def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
     grid = obs.grid
     rho0 = obs.initial.values
     alpha = config.alpha
-    time_grid = TimeGrid.unit_horizon(config.time_steps)
-    diffusion = ImplicitDiffusion(grid, config.sigma, time_grid.dt)
+    diffusion = ImplicitDiffusion(grid, config.sigma, 1.0 / config.time_steps)
 
-    v = _linearised_start(obs, time_grid)
+    v = _linearised_start(obs, config.time_steps)
     frames, sweep = forward_frames(v, rho0, diffusion)
     phi, energy, misfit = _objective_terms(v, frames, sweep, obs, alpha)
     g = _gradient_values(v, frames, sweep, obs, alpha)
@@ -492,8 +493,8 @@ def solve(obs: ObservationSet, config: SolverConfig) -> SolveResult:
                 break
 
     return SolveResult(
-        velocity=VelocitySeries(grid, time_grid, v),
-        densities=DensitySeries(grid, time_grid, frames),
+        velocity=VelocitySeries(grid, v),
+        densities=DensitySeries(grid, frames),
         diagnostics=records,
         termination=termination,
     )

@@ -87,7 +87,7 @@ def trace_streamlines(
     active = np.arange(len(seeds))
     x = seeds
     ids, pts = [active], [x]
-    dt = v.time_grid.dt
+    dt = 1.0 / len(v.values)
     tiny = dt * 1e-12
     steps_taken = 0
     for comp in v.values:

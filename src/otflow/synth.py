@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .forward import TimeGrid, VelocitySeries
+from .forward import VelocitySeries
 from .grid import CellGrid, ScalarField
 
 __all__ = [
@@ -205,15 +205,16 @@ def true_density(spec: SynthSpec, t: float) -> ScalarField:
     return _rescaled(grid, raw, spec.total_mass())
 
 
-def true_velocity_series(spec: SynthSpec, time_grid: TimeGrid) -> VelocitySeries:
-    """The model velocity sampled at cell centers, one frame per interval.
+def true_velocity_series(spec: SynthSpec, steps: int) -> VelocitySeries:
+    """The model velocity sampled at cell centers, one frame for each of the
+    `steps` intervals on T = 1.
 
     All supported models are steady, so every frame holds the same field.
     """
     grid = spec.grid
     frame = spec.velocity.sample(grid.cell_centers()).T  # (d, s)
-    values = np.repeat(frame[None, :, :], time_grid.steps, axis=0)
-    return VelocitySeries(grid, time_grid, values)
+    values = np.repeat(frame[None, :, :], steps, axis=0)
+    return VelocitySeries(grid, values)
 
 
 def add_noise(field: ScalarField, std: float, seed: int) -> ScalarField:

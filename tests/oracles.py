@@ -64,8 +64,9 @@ def _interval_faces(sweep: Sweep, dtype) -> list[list[sparse.csc_matrix]]:
     from the interval's stencil, cast to the dtype the sweep runs in."""
     grid, dt = sweep.diffusion.grid, sweep.diffusion.dt
     return [
-        [T.astype(dtype) for T in advection_weight_gradients(grid, [_deposit_stencil(v, dt)], dt)]
-        for v in sweep.fields
+        [T.astype(dtype)
+         for T in advection_weight_gradients(grid, [_deposit_stencil(grid, v_n, dt)], dt)]
+        for v_n in sweep.velocities
     ]
 
 
@@ -157,8 +158,8 @@ def finite_difference_gradient(
     """Central-difference directional derivative of a velocity functional."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    plus = f(VelocitySeries(v.grid, v.time_grid, v.values + eps * dv.values))
-    minus = f(VelocitySeries(v.grid, v.time_grid, v.values - eps * dv.values))
+    plus = f(VelocitySeries(v.grid, v.values + eps * dv.values))
+    minus = f(VelocitySeries(v.grid, v.values - eps * dv.values))
     return (plus - minus) / (2.0 * eps)
 
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from otflow.bundles import quickbundles
-from otflow.forward import ImplicitDiffusion, TimeGrid, forward_frames
-from otflow.grid import CellGrid, VectorField
+from otflow.forward import ImplicitDiffusion, forward_frames
+from otflow.grid import CellGrid
 from otflow.solver import (
     ObservationEntry,
     ObservationSet,
@@ -94,11 +94,11 @@ def test_c01_conservation():
     for trial in range(100):
         sigma = (0.0, 0.002, 0.2)[trial % 3]
         rng = philox(trial)
-        v = VectorField(grid, smooth_velocity(grid, trial, scale=0.08))
+        v = smooth_velocity(grid, trial, scale=0.08)
         rho = rng.uniform(0.0, 1.0, grid.cell_count)
         advected = one_step(v, rho, ImplicitDiffusion(grid, 0.0, dt))
         worst_advect = max(worst_advect, abs(advected.sum() - rho.sum()) / rho.sum())
-        at_rest = VectorField(grid, np.zeros((grid.ndim, grid.cell_count)))
+        at_rest = np.zeros((grid.ndim, grid.cell_count))
         diffused = one_step(at_rest, advected, ImplicitDiffusion(grid, sigma, dt))
         worst_diffuse = max(worst_diffuse, abs(diffused.sum() - rho.sum()) / rho.sum())
     elapsed = time.perf_counter() - start
@@ -121,10 +121,9 @@ def test_c02_forward_gaussian_oracle():
             velocity=VelocityModel("constant", value=(0.23, 0.17)),
             sigma_true=0.01,
         )
-        tg = TimeGrid.unit_horizon(steps)
-        got, _ = forward_frames(true_velocity_series(spec, tg).values,
+        got, _ = forward_frames(true_velocity_series(spec, steps).values,
                                 true_density(spec, 0.0).values,
-                                ImplicitDiffusion(spec.grid, 0.01, tg.dt))
+                                ImplicitDiffusion(spec.grid, 0.01, 1 / steps))
         want = true_density(spec, 1.0)
         return float(np.linalg.norm(got[-1] - want.values) / np.linalg.norm(want.values))
 
@@ -209,8 +208,7 @@ def test_c07_streamline_accuracy():
         blobs=(Blob((0.5, 0.5), 0.1, 1.0),),
         velocity=VelocityModel("rotation", center=(0.5, 0.5), rate=2 * np.pi),
     )
-    tg = TimeGrid.unit_horizon(1)
-    rotation = true_velocity_series(spec, tg)
+    rotation = true_velocity_series(spec, 1)
     radius = 0.25
     orbit = trace_streamlines(rotation, [[0.5 + radius, 0.5]], 1 / 1000, 10**6)[0]
     radii = np.linalg.norm(orbit.points - [0.5, 0.5], axis=1)
@@ -221,7 +219,7 @@ def test_c07_streamline_accuracy():
         blobs=(Blob((0.5, 0.5), 0.1, 1.0),),
         velocity=VelocityModel("constant", value=(0.31, 0.17)),
     )
-    uniform = true_velocity_series(uniform_spec, tg)
+    uniform = true_velocity_series(uniform_spec, 1)
     ray = trace_streamlines(uniform, [[0.2, 0.3]], 1 / 500, 10**6)[0]
     rel = ray.points - ray.points[0]
     direction = np.array([0.31, 0.17]) / np.hypot(0.31, 0.17)

@@ -16,7 +16,7 @@ from otflow.errors import (
     UnsupportedDatatypeError,
     VolumeFormatError,
 )
-from otflow.forward import TimeGrid, VelocitySeries
+from otflow.forward import VelocitySeries
 from otflow.grid import CellGrid, ScalarField
 from otflow.dataio import (
     RunConfig,
@@ -258,8 +258,7 @@ class TestHandCraftedAndMalformed:
 class TestVelocitySeries:
     def test_file_count_and_manifest(self, tmp_path):
         grid = CellGrid([4, 3], [0.25, 0.5])
-        tg = TimeGrid.unit_horizon(1)
-        v = VelocitySeries(grid, tg, f4(philox(13).standard_normal((1, 2, 12))))
+        v = VelocitySeries(grid, f4(philox(13).standard_normal((1, 2, 12))))
         prefix = tmp_path / "velocity"
         write_velocity_series(prefix, v)
         names = sorted(p.name for p in tmp_path.iterdir())
@@ -267,24 +266,20 @@ class TestVelocitySeries:
             "velocity_manifest.json", "velocity_t0_c0.nii", "velocity_t0_c1.nii",
         ]
         manifest = json.loads((tmp_path / "velocity_manifest.json").read_text())
-        assert manifest["time_steps"] * manifest["dt"] == pytest.approx(1.0, abs=1e-12)
-        assert manifest["components"] == 2
+        assert manifest == {"time_steps": 1, "dims": [4, 3], "spacing": [0.25, 0.5]}
 
     def test_round_trip(self, tmp_path):
         grid = CellGrid([5, 4], [0.5, 0.25])
-        tg = TimeGrid.unit_horizon(3)
-        v = VelocitySeries(grid, tg, f4(philox(14).standard_normal((3, 2, 20))))
+        v = VelocitySeries(grid, f4(philox(14).standard_normal((3, 2, 20))))
         prefix = tmp_path / "velocity"
         write_velocity_series(prefix, v)
         got = read_velocity_series(prefix)
         assert got.grid == grid
-        assert got.time_grid == tg
         assert np.array_equal(got.values, v.values)
 
     def test_empty_grid_in_manifest_names_key(self, tmp_path):
         path = tmp_path / "velocity_manifest.json"
-        path.write_text(json.dumps({"time_steps": 1, "dt": 1.0, "components": 0,
-                                    "dims": [], "spacing": []}))
+        path.write_text(json.dumps({"time_steps": 1, "dims": [], "spacing": []}))
         with pytest.raises(ConfigError, match=re.escape(f"{path}: key 'dims' must be")) as info:
             read_velocity_series(tmp_path / "velocity")
         assert info.value.key == "dims"

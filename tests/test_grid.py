@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from otflow.errors import ConfigError, OutsideDomainError
-from otflow.forward import TimeGrid, VelocitySeries
-from otflow.grid import CellGrid, ScalarField, VectorField, interpolate_components
+from otflow.forward import VelocitySeries
+from otflow.grid import CellGrid, ScalarField, interpolate_components
 from otflow.streamlines import trace_streamlines
 
 from conftest import philox
@@ -84,10 +84,6 @@ class TestFields:
         with pytest.raises(ValueError):
             ScalarField(grid_2d, vals)
 
-    def test_vector_field_shape(self, grid_2d):
-        with pytest.raises(ValueError):
-            VectorField(grid_2d, np.zeros((3, grid_2d.cell_count)))
-
     def test_total_mass(self, grid_2d):
         f = ScalarField(grid_2d, np.full(grid_2d.cell_count, 2.0))
         assert f.total_mass() == pytest.approx(2.0 * grid_2d.cell_count)
@@ -97,24 +93,23 @@ class TestSampling:
     def test_cell_center_reproduces_stored_vector(self):
         g = CellGrid([4, 3], [0.5, 1.0])
         rng = philox(3)
-        v = VectorField(g, rng.standard_normal((2, g.cell_count)))
-        got = interpolate_components(g, v.components, g.cell_centers()[[0, 5, 11]])
-        np.testing.assert_allclose(got, v.components[:, [0, 5, 11]].T)
+        comp = rng.standard_normal((2, g.cell_count))
+        got = interpolate_components(g, comp, g.cell_centers()[[0, 5, 11]])
+        np.testing.assert_allclose(got, comp[:, [0, 5, 11]].T)
 
     def test_1d_midpoint(self):
         g = CellGrid([2], [1.0])
-        v = VectorField(g, np.array([[1.0, 3.0]]))
-        got = interpolate_components(g, v.components, np.array([[1.0]]))
+        got = interpolate_components(g, np.array([[1.0, 3.0]]), np.array([[1.0]]))
         assert got[0, 0] == pytest.approx(2.0)
 
     def test_constant_field_everywhere(self):
         g = CellGrid([5, 5], [0.2, 0.2])
-        v = VectorField(g, np.repeat([[0.7], [-0.3]], g.cell_count, axis=1))
+        comp = np.repeat([[0.7], [-0.3]], g.cell_count, axis=1)
         rng = philox(11)
         for _ in range(20):
             p = rng.uniform(0.0, 1.0, size=2)
             np.testing.assert_allclose(
-                interpolate_components(g, v.components, p[None, :])[0], [0.7, -0.3]
+                interpolate_components(g, comp, p[None, :])[0], [0.7, -0.3]
             )
 
     @pytest.mark.parametrize("dims,spacing", [([9], [0.7]), ([6, 8], [0.5, 0.3]),
@@ -125,13 +120,12 @@ class TestSampling:
         coef = rng.standard_normal((g.ndim, g.ndim))
         offset = rng.standard_normal(g.ndim)
         comp = (coef @ g.cell_centers().T) + offset[:, None]
-        v = VectorField(g, comp)
         lo = np.asarray(spacing)  # one full cell away from each wall
         hi = np.asarray(g.lengths) - lo
         for _ in range(10):
             p = rng.uniform(lo, hi)
             np.testing.assert_allclose(
-                interpolate_components(g, v.components, p[None, :])[0], coef @ p + offset,
+                interpolate_components(g, comp, p[None, :])[0], coef @ p + offset,
                 rtol=1e-12, atol=1e-12,
             )
 
@@ -149,14 +143,14 @@ class TestSampling:
     def test_clamped_in_wall_strip(self):
         # between the wall and the first cell center the value is held constant
         g = CellGrid([4], [1.0])
-        v = VectorField(g, np.array([[2.0, 0.0, 0.0, -1.0]]))
-        got = interpolate_components(g, v.components, np.array([[0.1], [3.9]]))
+        comp = np.array([[2.0, 0.0, 0.0, -1.0]])
+        got = interpolate_components(g, comp, np.array([[0.1], [3.9]]))
         assert got[:, 0] == pytest.approx([2.0, -1.0])
 
     def test_rejects_outside_domain(self):
         # tracing is the one caller that takes points from outside the grid
         g = CellGrid([4], [1.0])
-        v = VelocitySeries(g, TimeGrid.unit_horizon(1), np.zeros((1, 1, 4)))
+        v = VelocitySeries(g, np.zeros((1, 1, 4)))
         with pytest.raises(OutsideDomainError):
             trace_streamlines(v, [[-0.5]], 0.5, 10)
         with pytest.raises(OutsideDomainError):

@@ -8,21 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 import otflow.forward
 from otflow.forward import ImplicitDiffusion, Sweep, adjoint_sweep, forward_frames, linearized_sweep
-from otflow.grid import CellGrid, ScalarField, VectorField
+from otflow.grid import CellGrid, ScalarField
 from otflow.operators import _deposit_stencil, advection_interp_matrix, advection_weight_gradients
 
 from oracles import assemble_diffusion_operator
 from conftest import philox
 
 
-def deposit(v, dt):
-    """S of one interval, from its own stencil."""
-    return advection_interp_matrix(v.grid, _deposit_stencil(v, dt))
+def deposit(grid, v, dt):
+    """S of one interval of velocity v, shape (d, s), from its own stencil."""
+    return advection_interp_matrix(grid, _deposit_stencil(grid, v, dt))
 
 
-def face_gradients(v, dt):
+def face_gradients(grid, v, dt):
     """The T_k of one interval, from its own stencil."""
-    return advection_weight_gradients(v.grid, [_deposit_stencil(v, dt)], dt)
+    return advection_weight_gradients(grid, [_deposit_stencil(grid, v, dt)], dt)
 
 
 def written_out(grid, T, k):
@@ -77,12 +77,12 @@ class TestDiffusionOperator:
 class TestDepositMatrix:
     def test_zero_velocity_is_identity(self):
         g = CellGrid([4, 3], [1.0, 0.5])
-        S = deposit(VectorField(g, np.zeros((2, g.cell_count))), 0.7)
+        S = deposit(g, np.zeros((2, g.cell_count)), 0.7)
         np.testing.assert_allclose(S.toarray(), np.eye(g.cell_count))
 
     def test_1d_half_cell_split(self):
         g = CellGrid([4], [1.0])
-        S = deposit(VectorField(g, np.full((1, 4), 0.5)), 1.0)
+        S = deposit(g, np.full((1, 4), 0.5), 1.0)
         np.testing.assert_allclose(S @ np.array([0.0, 1.0, 0.0, 0.0]), [0, 0.5, 0.5, 0])
 
     @settings(max_examples=20, deadline=None)
@@ -90,8 +90,7 @@ class TestDepositMatrix:
     def test_columns_sum_to_one(self, geom, seed, dt):
         grid = CellGrid(*geom)
         rng = philox(seed)
-        v = VectorField(grid, rng.uniform(-1.5, 1.5, (grid.ndim, grid.cell_count)))
-        S = deposit(v, dt)
+        S = deposit(grid, rng.uniform(-1.5, 1.5, (grid.ndim, grid.cell_count)), dt)
         colsums = np.asarray(S.sum(axis=0)).ravel()
         np.testing.assert_allclose(colsums, 1.0, atol=1e-14)
         assert S.data.min() >= 0.0
@@ -100,7 +99,7 @@ class TestDepositMatrix:
     def test_outflow_clamps_to_boundary_cell(self):
         # a particle pushed past the wall deposits everything in the last cell
         g = CellGrid([4], [1.0])
-        S = deposit(VectorField(g, np.full((1, 4), 10.0)), 1.0)
+        S = deposit(g, np.full((1, 4), 10.0), 1.0)
         out = S @ np.array([0.25, 0.25, 0.25, 0.25])
         np.testing.assert_allclose(out, [0, 0, 0, 1.0])
 
@@ -112,8 +111,8 @@ class TestDepositMatrix:
         vel = rng.uniform(-1.0, 1.0, (3, thick.cell_count))
         vel[1] = rng.uniform(0.2, 1.0, thick.cell_count)  # every particle leaves its center
         x = rng.uniform(0.0, 1.0, thick.cell_count)
-        S_thick = deposit(VectorField(thick, vel), 0.3)
-        S_flat = deposit(VectorField(flat, vel[[0, 2]]), 0.3)
+        S_thick = deposit(thick, vel, 0.3)
+        S_flat = deposit(flat, vel[[0, 2]], 0.3)
         assert np.array_equal(S_thick @ x, S_flat @ x)
 
 
@@ -133,7 +132,7 @@ def _corner_weight(frac, offsets):
 def _reference_deposit(grid, v, dt):
     """The COO -> canonical CSR assembly of S and the G_k that the shared CSC
     pattern replaced, with the transposes copied to CSR as the step kept them."""
-    lower, frac, live = _deposit_stencil(v, dt)
+    lower, frac, live = _deposit_stencil(grid, v, dt)
     base = np.unravel_index(lower, grid.dims, order="F")
     s = grid.cell_count
     corners = list(product((0, 1), repeat=grid.ndim))
@@ -171,12 +170,12 @@ class TestDepositPattern:
         grid = CellGrid(dims, spacing)
         rng = philox(17)
         # displacements of several cells push many particles past the walls
-        v = VectorField(grid, rng.uniform(-2.0, 2.0, (grid.ndim, grid.cell_count)))
+        v = rng.uniform(-2.0, 2.0, (grid.ndim, grid.cell_count))
         dt = 0.5
         x = rng.standard_normal(grid.cell_count)
         y = rng.standard_normal(grid.cell_count)
-        S = deposit(v, dt)
-        faces = face_gradients(v, dt)
+        S = deposit(grid, v, dt)
+        faces = face_gradients(grid, v, dt)
         S_ref, grads_ref = _reference_deposit(grid, v, dt)
         assert np.array_equal(S @ x, S_ref @ x)
         assert np.array_equal(S.T @ y, S_ref.T.tocsr() @ y)
@@ -196,7 +195,7 @@ class TestBuildersWriteInPlace:
         grid = CellGrid([16, 16, 16], [1 / 16] * 3)
         s, dt = grid.cell_count, 1 / 3
         rng = philox(11)
-        stencils = [_deposit_stencil(VectorField(grid, rng.uniform(-0.2, 0.2, (3, s))), dt)
+        stencils = [_deposit_stencil(grid, rng.uniform(-0.2, 0.2, (3, s)), dt)
                     for _ in range(3)]
         build = {"S": lambda: [advection_interp_matrix(grid, st) for st in stencils],
                  "T": lambda: advection_weight_gradients(grid, stencils, dt)}[builder]
@@ -215,9 +214,9 @@ class TestBuildersWriteInPlace:
         assert peak - sum(kept.values()) <= 2 * s * 8 + 4096
 
 
-def _one_step_jvp(v, dt, rho, dv):
+def _one_step_jvp(grid, v, dt, rho, dv):
     """The velocity derivative of S(v) @ rho in direction dv, from a one-interval sweep."""
-    sweep = Sweep([v], ImplicitDiffusion(v.grid, 0.0, dt))
+    sweep = Sweep(v[None], ImplicitDiffusion(grid, 0.0, dt))
     return sweep.jvp(rho[None], dv[None])[0]
 
 
@@ -225,15 +224,14 @@ class TestWeightGradients:
     def test_zero_direction_gives_zero(self):
         g = CellGrid([5], [1.0])
         rho = ScalarField(g, np.ones(5))
-        v = VectorField(g, np.full((1, 5), 0.3))
-        out = _one_step_jvp(v, 0.5, rho.values, np.zeros((1, 5)))
+        out = _one_step_jvp(g, np.full((1, 5), 0.3), 0.5, rho.values, np.zeros((1, 5)))
         np.testing.assert_allclose(out, 0.0)
 
     def test_mid_cell_weights_are_inverse_spacing(self):
         # particle sits mid-way between two centers: dw/d(displacement) = -1/h, +1/h
         g = CellGrid([4], [2.0])
-        v = VectorField(g, np.array([[0.0, 1.0, 0.0, 0.0]]))  # cell 1 lands mid-cell
-        T = face_gradients(v, 1.0)[0]
+        v = np.array([[0.0, 1.0, 0.0, 0.0]])  # cell 1 lands mid-cell
+        T = face_gradients(g, v, 1.0)[0]
         np.testing.assert_allclose(T.toarray()[:, 1], [0, 0.5, 0, 0])
         np.testing.assert_allclose(written_out(g, T, 0)[:, 1], [0, -0.5, 0.5, 0])
 
@@ -242,15 +240,15 @@ class TestWeightGradients:
         g = CellGrid([6, 5], [0.5, 0.4])
         rng = philox(seed)
         # keep particles clear of deposit kinks so the derivative is two-sided
-        v = VectorField(g, 0.11 + 0.05 * rng.random((2, g.cell_count)))
-        dv = VectorField(g, rng.standard_normal((2, g.cell_count)))
+        v = 0.11 + 0.05 * rng.random((2, g.cell_count))
+        dv = rng.standard_normal((2, g.cell_count))
         rho = ScalarField(g, rng.uniform(0.5, 1.5, g.cell_count))
         dt = 0.25
         eps = 1e-6
-        S0 = deposit(v, dt)
-        S1 = deposit(VectorField(g, v.components + eps * dv.components), dt)
+        S0 = deposit(g, v, dt)
+        S1 = deposit(g, v + eps * dv, dt)
         fd = (S1 @ rho.values - S0 @ rho.values) / eps
-        got = _one_step_jvp(v, dt, rho.values, dv.components)
+        got = _one_step_jvp(g, v, dt, rho.values, dv)
         np.testing.assert_allclose(got, fd, atol=1e-6 * np.abs(fd).max())
 
     def test_adjoint_identity(self):
@@ -291,7 +289,7 @@ class TestSharedStencil:
         diffusion = ImplicitDiffusion(g, 0.05, 1.0 / steps)
         if faces_first:
             # a sweep whose derivative is built before any deposit
-            sweep = Sweep([VectorField(g, v_n) for v_n in v], diffusion)
+            sweep = Sweep(v, diffusion)
             frames = np.tile(rng.uniform(0.0, 1.0, g.cell_count), (steps + 1, 1))
             sweep.jvp(frames[:-1], v)
             sweep.push(0, frames[0])

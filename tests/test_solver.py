@@ -12,7 +12,6 @@ from otflow.errors import ConfigError, GridMismatchError
 from otflow.forward import (
     DensitySeries,
     ImplicitDiffusion,
-    TimeGrid,
     VelocitySeries,
     forward_frames,
     linearized_sweep,
@@ -87,13 +86,20 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(sigma=-1.0)
 
+    @pytest.mark.parametrize("steps", [0, 2.5], ids=["zero", "fractional"])
+    def test_time_steps_is_an_integer_at_least_1(self, steps):
+        # 2.5 steps would run 2 intervals of dt = 0.4, a horizon of 0.8
+        with pytest.raises(ConfigError, match="key 'time_steps' must be an integer, at least 1") as info:
+            SolverConfig(time_steps=steps)
+        assert info.value.key == "time_steps"
+
 
 class TestObjective:
     def test_perfect_fit_is_zero(self):
         g = CellGrid([6, 6], [1 / 6, 1 / 6])
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.15, 1.0)
         cfg = SolverConfig(sigma=0.0, alpha=1.0, time_steps=2)
-        v = VelocitySeries(g, TimeGrid.unit_horizon(2), np.zeros((2, g.ndim, g.cell_count)))
+        v = VelocitySeries(g, np.zeros((2, g.ndim, g.cell_count)))
         val = objective(v, _pair_obs(rho0, rho0, 2), cfg)
         assert val.total == 0.0
 
@@ -103,7 +109,7 @@ class TestObjective:
         c, alpha = 0.2, 3.0
         shifted = ScalarField(g, rho0.values + c)
         cfg = SolverConfig(sigma=0.0, alpha=alpha, time_steps=2)
-        v = VelocitySeries(g, TimeGrid.unit_horizon(2), np.zeros((2, g.ndim, g.cell_count)))
+        v = VelocitySeries(g, np.zeros((2, g.ndim, g.cell_count)))
         val = objective(v, _pair_obs(rho0, shifted, 2), cfg)
         assert val.energy == 0.0
         assert val.misfit == pytest.approx(alpha * g.cell_count * c**2, rel=1e-12)
@@ -113,8 +119,7 @@ class TestObjective:
         # unit spacing, one unit step, uniform speed 0.5 over unit total mass
         g = CellGrid([4], [1.0])
         rho0 = ScalarField(g, [0.0, 1.0, 0.0, 0.0])
-        tg = TimeGrid(1, 1.0)
-        v = VelocitySeries(g, tg, np.full((1, 1, 4), 0.5))
+        v = VelocitySeries(g, np.full((1, 1, 4), 0.5))
         advected = ScalarField(g, [0.0, 0.5, 0.5, 0.0])
         cfg = SolverConfig(sigma=0.0, alpha=1.0, time_steps=1)
         val = objective(v, _pair_obs(rho0, advected, 1), cfg)
@@ -127,7 +132,7 @@ class TestGradient:
         g = CellGrid([6, 6], [1 / 6, 1 / 6])
         rho0 = gaussian_blob(g, (0.5, 0.5), 0.15, 1.0)
         cfg = SolverConfig(sigma=0.0, alpha=1.0, time_steps=2)
-        v = VelocitySeries(g, TimeGrid.unit_horizon(2), np.zeros((2, g.ndim, g.cell_count)))
+        v = VelocitySeries(g, np.zeros((2, g.ndim, g.cell_count)))
         grad = gradient(v, _pair_obs(rho0, rho0, 2), cfg)
         np.testing.assert_allclose(grad.values, 0.0, atol=1e-15)
 
@@ -157,7 +162,7 @@ class TestGradient:
 
     def test_misfit_part_linear_in_alpha(self):
         rho0, _, _, v, _ = gradient_check_instance(5, 0.0)
-        grid, tg = v.grid, v.time_grid
+        grid = v.grid
         target = gaussian_blob(grid, (0.6, 0.5), 0.15, 1.0)
 
         def grad_at(alpha):
@@ -177,7 +182,7 @@ class TestGaussNewtonProduct:
     @pytest.mark.parametrize("seed,sigma", [(3, 0.0), (4, 0.01)])
     def test_symmetric_positive_semidefinite(self, seed, sigma):
         rho0, obs, cfg, v, _ = gradient_check_instance(seed, sigma)
-        diffusion = ImplicitDiffusion(v.grid, sigma, v.time_grid.dt)
+        diffusion = ImplicitDiffusion(v.grid, sigma, 1 / len(v.values))
         frames, steps = forward_frames(v.values, rho0.values, diffusion)
         rng = philox(40 + seed)
         x, y = rng.standard_normal((2,) + v.values.shape)
@@ -222,7 +227,7 @@ class TestBatchedSweeps:
 
     def test_sweeps_that_only_advance_build_no_derivatives(self, monkeypatch):
         rho0, _, config = _blob_problem((12, 10), 4)
-        grid, tg = rho0.grid, TimeGrid.unit_horizon(4)
+        grid = rho0.grid
         builds = []
         build = otflow.forward.advection_weight_gradients
         monkeypatch.setattr(
@@ -230,7 +235,7 @@ class TestBatchedSweeps:
             lambda *args: builds.append(args) or build(*args),
         )
         v = 0.2 * philox(13).standard_normal((4, grid.ndim, grid.cell_count))
-        frames, sweep = forward_frames(v, rho0.values, ImplicitDiffusion(grid, config.sigma, tg.dt))
+        frames, sweep = forward_frames(v, rho0.values, ImplicitDiffusion(grid, config.sigma, 1 / 4))
         assert builds == []
         linearized_sweep(sweep, frames, v)
         linearized_sweep(sweep, frames, v)
@@ -473,11 +478,10 @@ class TestLinearisedStart:
     def test_translation_drifts_by_the_shift(self):
         spec, truth0, truth_T = translating_pair()
         shift = np.asarray(spec.velocity.value)
-        tg = TimeGrid.unit_horizon(4)
-        v = _linearised_start(_pair_obs(truth0, truth_T, 4), tg)
-        frames, _ = forward_frames(v, truth0.values, ImplicitDiffusion(truth0.grid, 0.0, tg.dt))
+        v = _linearised_start(_pair_obs(truth0, truth_T, 4), 4)
+        frames, _ = forward_frames(v, truth0.values, ImplicitDiffusion(truth0.grid, 0.0, 1 / 4))
         # the mass-weighted displacement over the swept frames
-        drift = sum(tg.dt * (rho * v_n).sum(axis=1) / rho.sum() for rho, v_n in zip(frames, v))
+        drift = sum(1 / 4 * (rho * v_n).sum(axis=1) / rho.sum() for rho, v_n in zip(frames, v))
         assert drift[0] / shift[0] == pytest.approx(1.0, abs=0.03)
         assert abs(drift[1]) <= 1e-3 * shift[0]
 
@@ -496,7 +500,7 @@ class TestLinearisedStart:
             spec, truth0, truth_T = _rotating_pair(n)
         obs = _pair_obs(truth0, truth_T, 4)
         config = SolverConfig(sigma=0.0, alpha=alpha, time_steps=4, max_gn_iters=40)
-        v_star = true_velocity_series(spec, TimeGrid.unit_horizon(4))
+        v_star = true_velocity_series(spec, 4)
         phi_star = objective(v_star, obs, config).total
         from_start = solve(obs, config).diagnostics[-1].phi
         monkeypatch.setattr(otflow.solver, "_linearised_start", lambda *_: v_star.values.copy())
@@ -511,7 +515,7 @@ class TestLinearisedStart:
         if kind == "empty":
             rho = ScalarField(grid, np.zeros(grid.cell_count))
         obs = _pair_obs(rho, ScalarField(grid, rho.values.copy()), 3)
-        v = _linearised_start(obs, TimeGrid.unit_horizon(3))
+        v = _linearised_start(obs, 3)
         assert v.shape == (3, 2, grid.cell_count)
         assert (v == 0.0).all()
         res = solve(obs, SolverConfig(sigma=0.0, time_steps=3))
@@ -531,7 +535,7 @@ class TestLinearisedStart:
             return cg(hess_apply, grad, diag)
 
         monkeypatch.setattr(otflow.solver, "_gn_step", gn_step)
-        v = _linearised_start(_pair_obs(rho0, target, 3), TimeGrid.unit_horizon(3))
+        v = _linearised_start(_pair_obs(rho0, target, 3), 3)
         ((laplacian, rhs, diag),) = systems
         assert (rho0.values == 0.0).any() and abs(rhs.sum()) <= 1e-12 * np.abs(rhs).sum()
         assert (diag > 0).all()
@@ -542,7 +546,7 @@ class TestLinearisedStart:
     def test_single_cell_grid_stays_finite(self):
         grid = CellGrid([1, 1], [0.5, 0.5])
         obs = _pair_obs(ScalarField(grid, [1.0]), ScalarField(grid, [2.0]), 2)
-        v = _linearised_start(obs, TimeGrid.unit_horizon(2))
+        v = _linearised_start(obs, 2)
         assert (v == 0.0).all()
 
     def test_one_flow_per_observation_interval(self, monkeypatch):
@@ -589,7 +593,7 @@ class TestSolve:
         disp = np.zeros(2)
         for n in range(4):
             rho_n = res.densities.values[n]
-            disp += res.velocity.time_grid.dt * (
+            disp += 1 / 4 * (
                 rho_n * res.velocity.values[n]
             ).sum(axis=1) / rho_n.sum()
         assert np.linalg.norm(disp - shift) <= 0.15 * np.linalg.norm(shift)
@@ -789,21 +793,20 @@ class TestMetrics:
         np.testing.assert_allclose(inf, [0.1], rtol=1e-12)
         base = philox(2).uniform(0, 1, (4, 6))
         offsets = np.array([0.0, 0.37, -0.5, 0.125])
-        a = DensitySeries(CellGrid([6], [1.0]), TimeGrid.unit_horizon(3), base)
-        b = DensitySeries(a.grid, a.time_grid, base + offsets[:, None])
+        a = DensitySeries(CellGrid([6], [1.0]), base)
+        b = DensitySeries(a.grid, base + offsets[:, None])
         mse, inf = registration_errors(a, b)
         np.testing.assert_allclose(mse, offsets**2, rtol=1e-12)
         np.testing.assert_allclose(inf, np.abs(offsets), rtol=1e-12)
 
     def test_registration_two_pass_oracle(self, grid_2d):
         rng = philox(12)
-        tg = TimeGrid.unit_horizon(2)
-        shape = (tg.steps + 1, grid_2d.cell_count)
-        a = DensitySeries(grid_2d, tg, rng.uniform(0, 1, shape))
-        b = DensitySeries(grid_2d, tg, rng.uniform(0, 1, shape))
+        shape = (3, grid_2d.cell_count)
+        a = DensitySeries(grid_2d, rng.uniform(0, 1, shape))
+        b = DensitySeries(grid_2d, rng.uniform(0, 1, shape))
         mse, inf = registration_errors(a, b)
-        assert mse.shape == inf.shape == (tg.steps + 1,)
-        for n in range(tg.steps + 1):
+        assert mse.shape == inf.shape == (3,)
+        for n in range(3):
             acc, biggest = 0.0, 0.0
             for x, y in zip(a.values[n], b.values[n]):
                 acc += (x - y) ** 2
@@ -822,8 +825,8 @@ class TestMetrics:
 
     def test_registration_frame_count_mismatch(self):
         g = CellGrid([6], [1.0])
-        a = DensitySeries(g, TimeGrid.unit_horizon(3), np.zeros((4, 6)))
-        b = DensitySeries(g, TimeGrid.unit_horizon(2), np.zeros((3, 6)))
+        a = DensitySeries(g, np.zeros((4, 6)))
+        b = DensitySeries(g, np.zeros((3, 6)))
         with pytest.raises(ValueError, match="4 frames with 3"):
             registration_errors(a, b)
         with pytest.raises(ValueError, match="4 frames with 1"):

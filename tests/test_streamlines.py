@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otflow.errors import EmptySeedsError, OutsideDomainError
-from otflow.forward import TimeGrid, VelocitySeries
+from otflow.forward import VelocitySeries
 from otflow.grid import CellGrid, ScalarField, interpolate_components
 from otflow.streamlines import (
     STAGNATION_SPEED,
@@ -24,7 +24,7 @@ def _rotation_series(rate, steps=1, n=64):
         blobs=(Blob((0.5, 0.5), 0.1, 1.0),),
         velocity=VelocityModel("rotation", center=(0.5, 0.5), rate=rate),
     )
-    return true_velocity_series(spec, TimeGrid.unit_horizon(steps))
+    return true_velocity_series(spec, steps)
 
 
 def _constant_series(value, steps=1, n=32):
@@ -33,7 +33,7 @@ def _constant_series(value, steps=1, n=32):
         blobs=(Blob((0.5, 0.5), 0.1, 1.0),),
         velocity=VelocityModel("constant", value=value),
     )
-    return true_velocity_series(spec, TimeGrid.unit_horizon(steps))
+    return true_velocity_series(spec, steps)
 
 
 class TestSeedPoints:
@@ -136,10 +136,10 @@ def _reference_trace(v, seed, step_size, max_steps):
 
     points = [seed.copy()]
     x = seed.copy()
-    dt = v.time_grid.dt
+    dt = 1 / len(v.values)
     tiny = dt * 1e-12
     steps_taken = 0
-    for n in range(v.time_grid.steps):
+    for n in range(len(v.values)):
         comp = v.values[n]
         remaining = dt
         while remaining > tiny and steps_taken < max_steps:
@@ -179,7 +179,7 @@ def _halting_series(ndim):
         comp[:, x0 < 0.3] = 0.0
         comp[0, x0 > 0.75] += 1.5
         frames.append(comp)
-    return VelocitySeries(grid, TimeGrid.unit_horizon(3), np.array(frames))
+    return VelocitySeries(grid, np.array(frames))
 
 
 class TestTraceStreamlines:
@@ -233,7 +233,7 @@ class TestTraceStreamlines:
     def test_matches_per_corner_sampler(self, dims, monkeypatch):
         grid = CellGrid(dims, [1 / n for n in dims])
         frames = [smooth_velocity(grid, seed=60 + i, scale=0.3) for i in range(2)]
-        v = VelocitySeries(grid, TimeGrid.unit_horizon(2), np.array(frames))
+        v = VelocitySeries(grid, np.array(frames))
         rng = philox(len(dims))
         seeds = np.vstack([grid.cell_centers()[::5], rng.uniform(0, 1, (16, len(dims)))])
         lines = trace_streamlines(v, seeds, 0.05, 10**6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from otflow.errors import ConfigError
-from otflow.forward import TimeGrid, VelocitySeries
+from otflow.forward import VelocitySeries
 from otflow.grid import CellGrid, ScalarField
 from otflow.synth import (
     Blob,
@@ -121,7 +121,7 @@ class TestTrueDensity:
 
     def test_velocity_series_is_steady_sampling(self):
         spec = _constant_spec(v=(0.3, -0.2))
-        series = true_velocity_series(spec, TimeGrid.unit_horizon(3))
+        series = true_velocity_series(spec, 3)
         assert series.values.shape == (3, 2, spec.grid.cell_count)
         np.testing.assert_allclose(series.values[0, 0], 0.3)
         np.testing.assert_allclose(series.values[2, 1], -0.2)
@@ -169,23 +169,21 @@ class TestAddNoise:
 class TestFiniteDifferenceGradient:
     def test_quadratic_exact(self):
         g = CellGrid([4, 4], [0.25, 0.25])
-        tg = TimeGrid.unit_horizon(2)
         rng = philox(17)
-        v = VelocitySeries(g, tg, rng.standard_normal((2, 2, 16)))
-        dv = VelocitySeries(g, tg, rng.standard_normal((2, 2, 16)))
+        v = VelocitySeries(g, rng.standard_normal((2, 2, 16)))
+        dv = VelocitySeries(g, rng.standard_normal((2, 2, 16)))
         f = lambda w: float((w.values**2).sum())
         got = finite_difference_gradient(f, v, dv, 1e-4)
         assert got == pytest.approx(2.0 * float((v.values * dv.values).sum()), rel=1e-9)
 
     def test_constant_functional_zero(self):
         g = CellGrid([4], [0.25])
-        tg = TimeGrid.unit_horizon(1)
-        v = VelocitySeries(g, tg, np.zeros((1, 1, 4)))
-        dv = VelocitySeries(g, tg, np.ones((1, 1, 4)))
+        v = VelocitySeries(g, np.zeros((1, 1, 4)))
+        dv = VelocitySeries(g, np.ones((1, 1, 4)))
         assert finite_difference_gradient(lambda w: 3.5, v, dv, 1e-5) == 0.0
 
     def test_eps_validated(self):
         g = CellGrid([4], [0.25])
-        v = VelocitySeries(g, TimeGrid.unit_horizon(1), np.zeros((1, 1, 4)))
+        v = VelocitySeries(g, np.zeros((1, 1, 4)))
         with pytest.raises(ValueError):
             finite_difference_gradient(lambda w: 0.0, v, v, 0.0)
