@@ -245,9 +245,9 @@ class TestFpaCommand:
         assert "stage 'load'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("dims", None), ("dims", "24x24"), ("time_steps", "2"),
-                                            ("bogus", 1), ("dt", 0.5)],
+                                            ("bogus", 1), ("dt", 0.5), ("components", 2)],
                              ids=["missing", "not-a-list", "mistyped", "unknown",
-                                  "dt-no-longer-a-key"])
+                                  "dt-no-longer-a-key", "components-no-longer-a-key"])
     def test_bad_velocity_manifest_fails_in_load(self, tmp_path, capsys, key, value):
         _channel_outputs(tmp_path)
         path = tmp_path / "out" / "velocity_manifest.json"

@@ -84,6 +84,11 @@ class TestFields:
         with pytest.raises(ValueError):
             ScalarField(grid_2d, vals)
 
+    def test_vector_field_shape(self, grid_2d):
+        # a velocity carries one component per axis of its grid
+        with pytest.raises(ValueError):
+            VelocitySeries(grid_2d, np.zeros((1, 3, grid_2d.cell_count)))
+
     def test_total_mass(self, grid_2d):
         f = ScalarField(grid_2d, np.full(grid_2d.cell_count, 2.0))
         assert f.total_mass() == pytest.approx(2.0 * grid_2d.cell_count)
